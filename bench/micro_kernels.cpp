@@ -135,6 +135,54 @@ void BM_MatmulNT(benchmark::State& state) {
 }
 BENCHMARK(BM_MatmulNT)->Arg(4096);
 
+// The three GEMMs of a training step's largest layer (SAGE h128 over a
+// [rows x 256] input): forward X W (NN), weight grad X^T G (TN) and input
+// grad G W^T (NT), each 2 * rows * 256 * 128 flops. Args: rows, fork-join
+// lane limit (0 = all lanes).
+constexpr std::int64_t kTrainIn = 256, kTrainHidden = 128;
+
+template <typename Gemm>
+void RunTrainGemm(benchmark::State& state, Tensor a, Tensor b, Tensor c,
+                  const Gemm& gemm) {
+  const std::int64_t rows = state.range(0);
+  ScopedParallelismLimit limit(state.range(1) == 0
+                                   ? ThreadPool::Global().ParallelismDegree()
+                                   : state.range(1));
+  for (auto _ : state) {
+    gemm(a, b, c);
+    benchmark::DoNotOptimize(c.data());
+  }
+  const double flops = 2.0 * static_cast<double>(rows) * kTrainIn * kTrainHidden;
+  SetRate(state, "flops_per_s", flops);
+  SetThreadsCounter(state, EffectiveLanes(state.range(1)));
+}
+
+void BM_MatmulTrainNN(benchmark::State& state) {
+  const std::int64_t rows = state.range(0);
+  RunTrainGemm(state, RandTensor(rows, kTrainIn, 21),
+               RandTensor(kTrainIn, kTrainHidden, 22), Tensor(rows, kTrainHidden),
+               [](const Tensor& x, const Tensor& w, Tensor& out) { Matmul(x, w, out); });
+}
+BENCHMARK(BM_MatmulTrainNN)->Args({4096, 1})->Args({4096, 0});
+
+void BM_MatmulTrainTN(benchmark::State& state) {
+  const std::int64_t rows = state.range(0);
+  RunTrainGemm(state, RandTensor(rows, kTrainIn, 23),
+               RandTensor(rows, kTrainHidden, 24), Tensor(kTrainIn, kTrainHidden),
+               [](const Tensor& x, const Tensor& g, Tensor& gw) {
+                 MatmulTN(x, g, gw, 1.0f, 1.0f);
+               });
+}
+BENCHMARK(BM_MatmulTrainTN)->Args({4096, 1})->Args({4096, 0});
+
+void BM_MatmulTrainNT(benchmark::State& state) {
+  const std::int64_t rows = state.range(0);
+  RunTrainGemm(state, RandTensor(rows, kTrainHidden, 25),
+               RandTensor(kTrainIn, kTrainHidden, 26), Tensor(rows, kTrainIn),
+               [](const Tensor& g, const Tensor& w, Tensor& gx) { MatmulNT(g, w, gx); });
+}
+BENCHMARK(BM_MatmulTrainNT)->Args({4096, 1})->Args({4096, 0});
+
 struct SpmmFixture {
   std::vector<std::int64_t> indptr;
   std::vector<std::int64_t> col;

@@ -292,8 +292,6 @@ DryRunResult DryRun(const Dataset& dataset, const ClusterSpec& cluster,
         const NodeId dst = b0.src_nodes[static_cast<std::size_t>(i)];
         const auto dst_owner =
             static_cast<std::size_t>(partition[static_cast<std::size_t>(dst)]);
-        const std::int64_t deg = b0.indptr[static_cast<std::size_t>(i) + 1] -
-                                 b0.indptr[static_cast<std::size_t>(i)];
         std::fill(touched.begin(), touched.end(), 0);
         for (std::int64_t e = b0.indptr[static_cast<std::size_t>(i)];
              e < b0.indptr[static_cast<std::size_t>(i) + 1]; ++e) {

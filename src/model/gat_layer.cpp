@@ -204,9 +204,14 @@ Tensor GatLayer::Forward(const CsrView& csr, std::int64_t num_dst, const Tensor&
 }
 
 Tensor GatLayer::Backward(const CsrView& csr, std::int64_t num_dst,
-                          const LayerContext& saved, const Tensor& grad_out) {
+                          const LayerContext& saved, const Tensor& grad_out,
+                          InputGrad input_grad) {
   const auto& ctx = dynamic_cast<const GatFullContext&>(saved);
   const Tensor grad_z = AttentionBackward(csr, num_dst, *ctx.attn, grad_out);
+  if (input_grad == InputGrad::kSkip) {
+    MatmulTN(ctx.input, grad_z, w_.grad, 1.0f, 1.0f);
+    return Tensor();
+  }
   return ProjectBackward(ctx.input, grad_z);
 }
 

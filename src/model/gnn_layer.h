@@ -16,6 +16,11 @@
 
 namespace apt {
 
+/// Whether a layer's Backward also produces the gradient w.r.t. its input.
+/// Layer 0's input is the raw features, whose gradient nothing reads, so
+/// its callers pass kSkip and only parameter grads are computed.
+enum class InputGrad { kSkip, kCompute };
+
 /// Opaque saved-activation holder; each layer defines its own subclass.
 class LayerContext {
  public:
@@ -33,9 +38,11 @@ class GnnLayer {
                          const Tensor& input,
                          std::unique_ptr<LayerContext>* saved) = 0;
 
-  /// Returns grad_input [num_src, in_dim]; accumulates parameter grads.
+  /// Accumulates parameter grads. Returns grad_input [num_src, in_dim] for
+  /// InputGrad::kCompute, an empty tensor for kSkip.
   virtual Tensor Backward(const CsrView& csr, std::int64_t num_dst,
-                          const LayerContext& saved, const Tensor& grad_out) = 0;
+                          const LayerContext& saved, const Tensor& grad_out,
+                          InputGrad input_grad) = 0;
 
   virtual void CollectParams(std::vector<Param*>& out) = 0;
 

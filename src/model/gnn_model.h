@@ -60,6 +60,9 @@ class GnnModel {
 
   /// Backward counterpart; returns the gradient w.r.t. `input` as passed to
   /// ForwardFrom (i.e. including the entry-ReLU backward for layers >= 1).
+  /// Layer 0 never computes the raw-feature gradient, which nothing reads:
+  /// BackwardTo(0, ...) accumulates parameter grads and returns an empty
+  /// tensor.
   Tensor BackwardTo(int first_layer, std::span<const Block> blocks,
                     const ModelTape& tape, const Tensor& grad_logits);
 

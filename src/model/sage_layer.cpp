@@ -38,9 +38,7 @@ Tensor SageLayer::Forward(const CsrView& csr, std::int64_t num_dst, const Tensor
 
   Tensor out(num_dst, out_dim_);
   // Self term: only the dst prefix of the input participates.
-  Tensor self_rows(num_dst, in_dim_);
-  std::copy_n(input.data(), num_dst * in_dim_, self_rows.data());
-  Matmul(self_rows, w_self_.value, out);
+  Matmul(RowPrefix(input, num_dst), w_self_.value, out);
   Matmul(ctx->agg, w_neigh_.value, out, 1.0f, 1.0f);
   AddBiasRows(out, bias_.value);
 
@@ -52,20 +50,20 @@ Tensor SageLayer::Forward(const CsrView& csr, std::int64_t num_dst, const Tensor
 }
 
 Tensor SageLayer::Backward(const CsrView& csr, std::int64_t num_dst,
-                           const LayerContext& saved, const Tensor& grad_out) {
+                           const LayerContext& saved, const Tensor& grad_out,
+                           InputGrad input_grad) {
   const auto& ctx = dynamic_cast<const SageContext&>(saved);
   APT_CHECK_EQ(grad_out.rows(), num_dst);
   APT_CHECK_EQ(grad_out.cols(), out_dim_);
   const std::int64_t num_src = ctx.input.rows();
 
   // Parameter grads.
-  Tensor self_rows(num_dst, in_dim_);
-  std::copy_n(ctx.input.data(), num_dst * in_dim_, self_rows.data());
-  MatmulTN(self_rows, grad_out, w_self_.grad, 1.0f, 1.0f);
+  MatmulTN(RowPrefix(ctx.input, num_dst), grad_out, w_self_.grad, 1.0f, 1.0f);
   MatmulTN(ctx.agg, grad_out, w_neigh_.grad, 1.0f, 1.0f);
   Tensor gb(1, out_dim_);
   BiasGradRows(grad_out, gb);
   Axpy(1.0f, gb, bias_.grad);
+  if (input_grad == InputGrad::kSkip) return Tensor();
 
   // Input grads.
   Tensor grad_input(num_src, in_dim_);
@@ -73,14 +71,8 @@ Tensor SageLayer::Backward(const CsrView& csr, std::int64_t num_dst,
   Tensor grad_agg(num_dst, in_dim_);
   MatmulNT(grad_out, w_neigh_.value, grad_agg);
   SpmmMeanBackward(csr, grad_agg, grad_input);
-  // Through the self path: adds into the dst prefix rows.
-  Tensor grad_self(num_dst, in_dim_);
-  MatmulNT(grad_out, w_self_.value, grad_self);
-  for (std::int64_t i = 0; i < num_dst; ++i) {
-    float* dst = grad_input.row(i);
-    const float* src = grad_self.row(i);
-    for (std::int64_t j = 0; j < in_dim_; ++j) dst[j] += src[j];
-  }
+  // Through the self path: accumulates onto the dst prefix rows (beta = 1).
+  MatmulNT(grad_out, w_self_.value, RowPrefix(grad_input, num_dst), 1.0f, 1.0f);
   return grad_input;
 }
 

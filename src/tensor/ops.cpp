@@ -15,31 +15,48 @@ std::int64_t RowGrain(std::int64_t cols) {
 }
 
 // ---------------------------------------------------------------------------
-// Blocked GEMM. A register-tiled microkernel updates a kMr x kNr tile of C
-// over one k-panel: the accumulators live in registers for the whole panel,
-// so the inner loop issues one B load and kMr fused multiply-adds per
-// element with no C traffic. Accumulation order over p is identical to the
-// naive row kernel, keeping results deterministic without -ffast-math.
+// Blocked GEMM. NN / TN run a register-tiled microkernel that updates a
+// kMr x kNr tile of C over one k-panel: the accumulators live in registers
+// for the whole panel, so the inner loop issues one B load and kMr
+// multiply-adds per vector with no C traffic. NT (C = A B^T) reduces along
+// the contiguous k axis of both operands in kLanes partial sums, blocked
+// kNtRows x kNtCols so each A and B load feeds several outputs.
+//
+// Every C element has ONE accumulation order, whatever tile, lane chunk or
+// row-prefix view it is computed in:
+//   NN / TN: beta is applied up front; then per kKc-wide k-panel,
+//            acc = 0, acc += a(i,p) * b(p,j) for p ascending, c += alpha*acc.
+//   NT:      lane l sums a(i,p) * b(j,p) over the full kLanes-blocks (p = l
+//            mod kLanes, ascending); acc = 0, acc += lane 0..kLanes-1, then
+//            the tail products in p order; c = alpha*acc + beta*c.
+// Tiles only decide which elements share registers, and element-wise vector
+// ops never re-associate, so results are bit-identical for every tiling
+// (tested) without -ffast-math.
 // ---------------------------------------------------------------------------
 
-constexpr std::int64_t kMr = 4;  // C tile rows held in registers
-constexpr std::int64_t kNr = 8;  // C tile cols: one SSE pair / one AVX lane
-// k-panel length: the kMr x kKc A panel (~4 KB) and kKc x kNr B tile (~8 KB)
+constexpr std::int64_t kMr = 8;   // C tile rows held in registers
+constexpr std::int64_t kNr = 16;  // C tile cols: one AVX-512 register
+// k-panel length: the kMr x kKc A panel (8 KB) and kKc x kNr B tile (16 KB)
 // stay L1-resident while a C tile is updated.
 constexpr std::int64_t kKc = 256;
+constexpr std::int64_t kLanes = 8;   // NT partial sums per output
+constexpr std::int64_t kNtRows = 4;  // NT block: A rows ...
+constexpr std::int64_t kNtCols = 4;  // ... x B rows sharing each load
 
-// kNr-wide float vector. GCC/Clang lower the element-wise ops to the widest
-// ISA the target allows (one AVX register, or a pair of SSE registers on the
-// x86-64 baseline) — written explicitly because the autovectorizer turns the
-// equivalent scalar tile into a slow shuffle-heavy SLP form.
+// Fixed-width float vectors. GCC/Clang lower the element-wise ops to the
+// widest ISA the target allows (one AVX-512 register, or a pair / quad of
+// AVX / SSE registers on narrower clones) — written explicitly because the
+// autovectorizer turns the equivalent scalar tile into a slow shuffle-heavy
+// SLP form.
 #pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wpsabi"  // VecNr never crosses a real ABI
-                                          // boundary: every user is inlined.
+#pragma GCC diagnostic ignored "-Wpsabi"  // The vectors never cross a real
+                                          // ABI boundary: every user is inlined.
 typedef float VecNr __attribute__((vector_size(kNr * sizeof(float))));
+typedef float VecLanes __attribute__((vector_size(kLanes * sizeof(float))));
 
 // Runtime ISA dispatch for the GEMM drivers: the binary stays baseline
-// x86-64, but ifunc resolution picks an AVX2+FMA or AVX-512 clone when the
-// host has one. `flatten` pulls the microkernel into each clone so the
+// x86-64, but ifunc resolution picks an AVX2 or AVX-512 clone when the
+// host has one. `flatten` pulls the microkernels into each clone so the
 // vector code is lowered with the clone's ISA. Disabled under sanitizers:
 // ifunc resolvers run during relocation, before the sanitizer runtime is
 // initialized, and crash at startup.
@@ -51,64 +68,58 @@ typedef float VecNr __attribute__((vector_size(kNr * sizeof(float))));
 #define APT_GEMM_CLONES
 #endif
 
-inline VecNr LoadVec(const float* p) {
-  VecNr v;
+template <typename Vec>
+inline Vec LoadVec(const float* p) {
+  Vec v;
   __builtin_memcpy(&v, p, sizeof(v));
   return v;
 }
 
-inline void StoreVec(float* p, VecNr v) { __builtin_memcpy(p, &v, sizeof(v)); }
+template <typename Vec>
+inline void StoreVec(float* p, const Vec& v) {
+  __builtin_memcpy(p, &v, sizeof(v));
+}
 
-// C[0:kMr, 0:kNr] += alpha * A-tile * B[0:kc, 0:kNr]. kTransA selects the A
-// element layout: a(r, p) = a[r * lda + p] for row-major A (C = A B), or
-// a[p * lda + r] when `a` points into a [k, m] matrix (C = A^T B). The
-// accumulator tile lives in vector registers for the whole k-panel, so the
-// inner loop issues one B load and kMr multiply-adds per vector with no C
-// traffic. Per-element accumulation order over p matches the naive row
-// kernel: element-wise vector ops never re-associate, so no -ffast-math.
-template <bool kTransA>
+// C[0:kRows, 0:kNr] += alpha * A-tile * B[0:kc, 0:kNr]. kTransA selects the
+// A element layout: a(r, p) = a[r * lda + p] for row-major A (C = A B), or
+// a[p * lda + r] when `a` points into a [k, m] matrix (C = A^T B).
+template <bool kTransA, int kRows>
 inline void GemmMicroKernel(const float* a, std::int64_t lda, const float* b,
                             std::int64_t ldb, float* c, std::int64_t ldc,
                             std::int64_t kc, float alpha) {
-  VecNr acc0 = {}, acc1 = {}, acc2 = {}, acc3 = {};
-  static_assert(kMr == 4, "accumulator rows are hand-unrolled");
+  VecNr acc[kRows] = {};
+  const std::int64_t step = kTransA ? 1 : lda;
   for (std::int64_t p = 0; p < kc; ++p) {
-    const VecNr bv = LoadVec(b + p * ldb);
+    const VecNr bv = LoadVec<VecNr>(b + p * ldb);
     const float* ap = kTransA ? a + p * lda : a + p;
-    const std::int64_t step = kTransA ? 1 : lda;
-    acc0 += ap[0 * step] * bv;
-    acc1 += ap[1 * step] * bv;
-    acc2 += ap[2 * step] * bv;
-    acc3 += ap[3 * step] * bv;
+#pragma GCC unroll 8
+    for (int r = 0; r < kRows; ++r) acc[r] += ap[r * step] * bv;
   }
-  StoreVec(c + 0 * ldc, LoadVec(c + 0 * ldc) + alpha * acc0);
-  StoreVec(c + 1 * ldc, LoadVec(c + 1 * ldc) + alpha * acc1);
-  StoreVec(c + 2 * ldc, LoadVec(c + 2 * ldc) + alpha * acc2);
-  StoreVec(c + 3 * ldc, LoadVec(c + 3 * ldc) + alpha * acc3);
+#pragma GCC unroll 8
+  for (int r = 0; r < kRows; ++r) {
+    StoreVec(c + r * ldc, LoadVec<VecNr>(c + r * ldc) + alpha * acc[r]);
+  }
 }
 
-// Scalar edge-tile update for the ragged rim (mr < kMr and/or nr < kNr).
-template <bool kTransA>
-inline void GemmEdgeTile(const float* a, std::int64_t lda, const float* b,
-                         std::int64_t ldb, float* c, std::int64_t ldc,
-                         std::int64_t kc, std::int64_t mr, std::int64_t nr,
-                         float alpha) {
-  float acc[kMr][kNr] = {};
-  for (std::int64_t p = 0; p < kc; ++p) {
-    const float* brow = b + p * ldb;
-    for (std::int64_t r = 0; r < mr; ++r) {
-      const float av = kTransA ? a[p * lda + r] : a[r * lda + p];
-      for (std::int64_t j = 0; j < nr; ++j) acc[r][j] += av * brow[j];
+// Runs the microkernel for the mr (1..kMr) rows left in a row block: one
+// instantiation per row count, so the ragged rim keeps register tiles too.
+template <bool kTransA, int kRows = kMr>
+inline void GemmTile(std::int64_t mr, const float* a, std::int64_t lda,
+                     const float* b, std::int64_t ldb, float* c,
+                     std::int64_t ldc, std::int64_t kc, float alpha) {
+  if constexpr (kRows > 1) {
+    if (mr < kRows) {
+      GemmTile<kTransA, kRows - 1>(mr, a, lda, b, ldb, c, ldc, kc, alpha);
+      return;
     }
   }
-  for (std::int64_t r = 0; r < mr; ++r) {
-    float* crow = c + r * ldc;
-    for (std::int64_t j = 0; j < nr; ++j) crow[j] += alpha * acc[r][j];
-  }
+  GemmMicroKernel<kTransA, kRows>(a, lda, b, ldb, c, ldc, kc, alpha);
 }
 
 // Applies beta and runs the tiled update for C rows [lo, hi). `k` is the
-// contraction length; lda is k for row-major A and m (C rows) for A^T.
+// contraction length; lda is k for row-major A and m (C rows) for A^T. The
+// n % kNr column rim runs the same microkernel on zero-padded copies: B's rim
+// columns are packed once per k-panel into `bpad`, each C rim into `ctile`.
 template <bool kTransA>
 inline void GemmRowBlockImpl(const float* a, std::int64_t lda, const float* b,
                              std::int64_t n, float* c, std::int64_t k,
@@ -122,21 +133,34 @@ inline void GemmRowBlockImpl(const float* a, std::int64_t lda, const float* b,
       for (std::int64_t j = 0; j < n; ++j) crow[j] *= beta;
     }
   }
+  const std::int64_t nfull = n - n % kNr;
+  const std::int64_t nrim = n - nfull;
+  float bpad[kKc * kNr];
+  float ctile[kMr * kNr] = {};  // pad columns are computed on, never stored
   for (std::int64_t p0 = 0; p0 < k; p0 += kKc) {
     const std::int64_t kc = std::min(kKc, k - p0);
+    if (nrim > 0) {
+      for (std::int64_t p = 0; p < kc; ++p) {
+        float* dst = std::copy_n(b + (p0 + p) * n + nfull, nrim, bpad + p * kNr);
+        std::fill(dst, bpad + (p + 1) * kNr, 0.0f);
+      }
+    }
     for (std::int64_t i = lo; i < hi; i += kMr) {
       const std::int64_t mr = std::min(kMr, hi - i);
       const float* atile = kTransA ? a + p0 * lda + i : a + i * lda + p0;
-      std::int64_t j = 0;
-      if (mr == kMr) {
-        for (; j + kNr <= n; j += kNr) {
-          GemmMicroKernel<kTransA>(atile, lda, b + p0 * n + j, n,
-                                   c + i * n + j, n, kc, alpha);
-        }
+      for (std::int64_t j = 0; j < nfull; j += kNr) {
+        GemmTile<kTransA>(mr, atile, lda, b + p0 * n + j, n, c + i * n + j, n,
+                          kc, alpha);
       }
-      for (; j < n; j += kNr) {
-        GemmEdgeTile<kTransA>(atile, lda, b + p0 * n + j, n, c + i * n + j, n,
-                              kc, mr, std::min(kNr, n - j), alpha);
+      if (nrim > 0) {
+        float* crim = c + i * n + nfull;
+        for (std::int64_t r = 0; r < mr; ++r) {
+          std::copy_n(crim + r * n, nrim, ctile + r * kNr);
+        }
+        GemmTile<kTransA>(mr, atile, lda, bpad, kNr, ctile, kNr, kc, alpha);
+        for (std::int64_t r = 0; r < mr; ++r) {
+          std::copy_n(ctile + r * kNr, nrim, crim + r * n);
+        }
       }
     }
   }
@@ -156,85 +180,105 @@ void GemmRowBlockTN(const float* a, std::int64_t m, const float* b,
   GemmRowBlockImpl<true>(a, m, b, n, c, k, lo, hi, alpha, beta);
 }
 
-// Row block of C = A B^T: rows of C are dot products along the contiguous k
-// axis of both operands. kNr partial-sum lanes make the reduction
-// vectorizable without -ffast-math reassociation; kJb B rows share each A
-// load.
+// C[0:kRows, 0:kCols] of C = A B^T, where `a` points at kRows rows of A,
+// `b` at kCols rows of B (both with row stride k) and `c` into C (row
+// stride n).
+template <int kRows, int kCols>
+inline void NtBlock(const float* a, const float* b, float* c, std::int64_t k,
+                    std::int64_t n, float alpha, float beta) {
+  VecLanes lanes[kRows][kCols] = {};
+  std::int64_t p = 0;
+  for (; p + kLanes <= k; p += kLanes) {
+    VecLanes bv[kCols];
+#pragma GCC unroll 4
+    for (int j = 0; j < kCols; ++j) bv[j] = LoadVec<VecLanes>(b + j * k + p);
+#pragma GCC unroll 4
+    for (int r = 0; r < kRows; ++r) {
+      const VecLanes av = LoadVec<VecLanes>(a + r * k + p);
+#pragma GCC unroll 4
+      for (int j = 0; j < kCols; ++j) lanes[r][j] += av * bv[j];
+    }
+  }
+  for (int r = 0; r < kRows; ++r) {
+    const float* arow = a + r * k;
+    for (int j = 0; j < kCols; ++j) {
+      const float* brow = b + j * k;
+      float acc = 0.0f;
+      for (std::int64_t l = 0; l < kLanes; ++l) acc += lanes[r][j][l];
+      for (std::int64_t pt = p; pt < k; ++pt) acc += arow[pt] * brow[pt];
+      float& cv = c[r * n + j];
+      cv = alpha * acc + (beta == 0.0f ? 0.0f : beta * cv);
+    }
+  }
+}
+
+// One band of kRows C rows: kNtCols-wide column blocks, then single columns.
+template <int kRows>
+inline void NtRowBand(const float* a, const float* b, float* c, std::int64_t k,
+                      std::int64_t n, float alpha, float beta) {
+  std::int64_t j = 0;
+  for (; j + kNtCols <= n; j += kNtCols) {
+    NtBlock<kRows, kNtCols>(a, b + j * k, c + j, k, n, alpha, beta);
+  }
+  for (; j < n; ++j) NtBlock<kRows, 1>(a, b + j * k, c + j, k, n, alpha, beta);
+}
+
 APT_GEMM_CLONES
 void GemmRowBlockNT(const float* ap, const float* bp, float* cp,
                     std::int64_t k, std::int64_t n, std::int64_t lo,
                     std::int64_t hi, float alpha, float beta) {
-  constexpr std::int64_t kLanes = kNr;
-  constexpr std::int64_t kJb = 4;
-  for (std::int64_t i = lo; i < hi; ++i) {
-    const float* arow = ap + i * k;
-    float* crow = cp + i * n;
-    for (std::int64_t j0 = 0; j0 < n; j0 += kJb) {
-      const std::int64_t jb = std::min(kJb, n - j0);
-      VecNr lanes[kJb] = {};
-      std::int64_t p = 0;
-      for (; p + kLanes <= k; p += kLanes) {
-        const VecNr av = LoadVec(arow + p);
-        for (std::int64_t r = 0; r < jb; ++r) {
-          lanes[r] += av * LoadVec(bp + (j0 + r) * k + p);
-        }
-      }
-      for (std::int64_t r = 0; r < jb; ++r) {
-        const float* brow = bp + (j0 + r) * k;
-        float acc = 0.0f;
-        for (std::int64_t l = 0; l < kLanes; ++l) acc += lanes[r][l];
-        for (std::int64_t pt = p; pt < k; ++pt) acc += arow[pt] * brow[pt];
-        const std::int64_t j = j0 + r;
-        crow[j] = alpha * acc + (beta == 0.0f ? 0.0f : beta * crow[j]);
-      }
-    }
+  std::int64_t i = lo;
+  for (; i + kNtRows <= hi; i += kNtRows) {
+    NtRowBand<kNtRows>(ap + i * k, bp, cp + i * n, k, n, alpha, beta);
   }
+  for (; i < hi; ++i) NtRowBand<1>(ap + i * k, bp, cp + i * n, k, n, alpha, beta);
 }
 
 #pragma GCC diagnostic pop
 
 }  // namespace
 
-void Matmul(const Tensor& a, const Tensor& b, Tensor& c, float alpha, float beta) {
-  const std::int64_t m = a.rows(), k = a.cols(), n = b.cols();
-  APT_CHECK_EQ(b.rows(), k);
-  APT_CHECK_EQ(c.rows(), m);
-  APT_CHECK_EQ(c.cols(), n);
+ConstMatrixRef RowPrefix(const Tensor& t, std::int64_t rows) {
+  APT_CHECK(rows >= 0 && rows <= t.rows()) << "row prefix " << rows << " of " << t.rows();
+  return {t.data(), rows, t.cols()};
+}
+
+MatrixRef RowPrefix(Tensor& t, std::int64_t rows) {
+  APT_CHECK(rows >= 0 && rows <= t.rows()) << "row prefix " << rows << " of " << t.rows();
+  return {t.data(), rows, t.cols()};
+}
+
+void Matmul(ConstMatrixRef a, ConstMatrixRef b, MatrixRef c, float alpha, float beta) {
+  const std::int64_t m = a.rows, k = a.cols, n = b.cols;
+  APT_CHECK_EQ(b.rows, k);
+  APT_CHECK_EQ(c.rows, m);
+  APT_CHECK_EQ(c.cols, n);
   if (m == 0 || n == 0) return;
-  const float* ap = a.data();
-  const float* bp = b.data();
-  float* cp = c.data();
   ParallelForChunks(0, m, [&](std::int64_t lo, std::int64_t hi) {
-    GemmRowBlockNN(ap, bp, n, cp, k, lo, hi, alpha, beta);
+    GemmRowBlockNN(a.data, b.data, n, c.data, k, lo, hi, alpha, beta);
   }, RowGrain(k + n));
 }
 
-void MatmulTN(const Tensor& a, const Tensor& b, Tensor& c, float alpha, float beta) {
+void MatmulTN(ConstMatrixRef a, ConstMatrixRef b, MatrixRef c, float alpha, float beta) {
   // A is [k, m]; C = A^T B is [m, n].
-  const std::int64_t k = a.rows(), m = a.cols(), n = b.cols();
-  APT_CHECK_EQ(b.rows(), k);
-  APT_CHECK_EQ(c.rows(), m);
-  APT_CHECK_EQ(c.cols(), n);
+  const std::int64_t k = a.rows, m = a.cols, n = b.cols;
+  APT_CHECK_EQ(b.rows, k);
+  APT_CHECK_EQ(c.rows, m);
+  APT_CHECK_EQ(c.cols, n);
   if (m == 0 || n == 0) return;
-  const float* ap = a.data();
-  const float* bp = b.data();
-  float* cp = c.data();
   ParallelForChunks(0, m, [&](std::int64_t lo, std::int64_t hi) {
-    GemmRowBlockTN(ap, m, bp, n, cp, k, lo, hi, alpha, beta);
+    GemmRowBlockTN(a.data, m, b.data, n, c.data, k, lo, hi, alpha, beta);
   }, RowGrain(k + n));
 }
 
-void MatmulNT(const Tensor& a, const Tensor& b, Tensor& c, float alpha, float beta) {
+void MatmulNT(ConstMatrixRef a, ConstMatrixRef b, MatrixRef c, float alpha, float beta) {
   // B is [n, k]; C = A B^T is [m, n].
-  const std::int64_t m = a.rows(), k = a.cols(), n = b.rows();
-  APT_CHECK_EQ(b.cols(), k);
-  APT_CHECK_EQ(c.rows(), m);
-  APT_CHECK_EQ(c.cols(), n);
-  const float* ap = a.data();
-  const float* bp = b.data();
-  float* cp = c.data();
+  const std::int64_t m = a.rows, k = a.cols, n = b.rows;
+  APT_CHECK_EQ(b.cols, k);
+  APT_CHECK_EQ(c.rows, m);
+  APT_CHECK_EQ(c.cols, n);
   ParallelForChunks(0, m, [&](std::int64_t lo, std::int64_t hi) {
-    GemmRowBlockNT(ap, bp, cp, k, n, lo, hi, alpha, beta);
+    GemmRowBlockNT(a.data, b.data, c.data, k, n, lo, hi, alpha, beta);
   }, RowGrain(k + n));
 }
 

@@ -15,16 +15,43 @@ namespace apt {
 
 // ---------------------------------------------------------------------------
 // GEMM. C = alpha * op(A) * op(B) + beta * C. Shapes are checked.
+//
+// Operands are row-major matrix views. A Tensor converts to one implicitly;
+// RowPrefix views only a tensor's leading rows (a Block's dst prefix) so a
+// layer can read or update them in place instead of copying them out.
 // ---------------------------------------------------------------------------
 
+/// Read-only row-major matrix view (implicit from a Tensor).
+struct ConstMatrixRef {
+  ConstMatrixRef(const Tensor& t) : data(t.data()), rows(t.rows()), cols(t.cols()) {}
+  ConstMatrixRef(const float* d, std::int64_t r, std::int64_t c)
+      : data(d), rows(r), cols(c) {}
+  const float* data;
+  std::int64_t rows;
+  std::int64_t cols;
+};
+
+/// Writable row-major matrix view (implicit from a Tensor).
+struct MatrixRef {
+  MatrixRef(Tensor& t) : data(t.data()), rows(t.rows()), cols(t.cols()) {}
+  MatrixRef(float* d, std::int64_t r, std::int64_t c) : data(d), rows(r), cols(c) {}
+  float* data;
+  std::int64_t rows;
+  std::int64_t cols;
+};
+
+/// The first `rows` rows of t (checked: 0 <= rows <= t.rows()).
+ConstMatrixRef RowPrefix(const Tensor& t, std::int64_t rows);
+MatrixRef RowPrefix(Tensor& t, std::int64_t rows);
+
 /// C[m,n] += A[m,k] * B[k,n]  (beta=0 overwrites).
-void Matmul(const Tensor& a, const Tensor& b, Tensor& c, float alpha = 1.0f,
+void Matmul(ConstMatrixRef a, ConstMatrixRef b, MatrixRef c, float alpha = 1.0f,
             float beta = 0.0f);
 /// C[m,n] = A[k,m]^T * B[k,n].
-void MatmulTN(const Tensor& a, const Tensor& b, Tensor& c, float alpha = 1.0f,
+void MatmulTN(ConstMatrixRef a, ConstMatrixRef b, MatrixRef c, float alpha = 1.0f,
               float beta = 0.0f);
 /// C[m,n] = A[m,k] * B[n,k]^T.
-void MatmulNT(const Tensor& a, const Tensor& b, Tensor& c, float alpha = 1.0f,
+void MatmulNT(ConstMatrixRef a, ConstMatrixRef b, MatrixRef c, float alpha = 1.0f,
               float beta = 0.0f);
 
 // ---------------------------------------------------------------------------

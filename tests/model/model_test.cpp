@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "model/gat_layer.h"
 #include "model/gnn_model.h"
@@ -49,7 +50,7 @@ void CheckParamGrad(LayerT& layer, Param& param, const TinyBlock& blk,
        }()) {
     p->ZeroGrad();
   }
-  layer.Backward(blk.csr(), blk.num_dst, *ctx, gy);
+  layer.Backward(blk.csr(), blk.num_dst, *ctx, gy, InputGrad::kCompute);
   const float eps = 1e-2f;
   Rng pick(31);
   for (int trial = 0; trial < 6; ++trial) {
@@ -104,7 +105,8 @@ TEST(SageLayerTest, InputGradMatchesFiniteDifference) {
   const Tensor gy = RandTensor(2, 2, 7);
   std::unique_ptr<LayerContext> ctx;
   layer.Forward(blk.csr(), blk.num_dst, input, &ctx);
-  const Tensor gin = layer.Backward(blk.csr(), blk.num_dst, *ctx, gy);
+  const Tensor gin =
+      layer.Backward(blk.csr(), blk.num_dst, *ctx, gy, InputGrad::kCompute);
   const float eps = 1e-2f;
   for (std::int64_t i = 0; i < input.numel(); ++i) {
     const float orig = input.data()[i];
@@ -149,7 +151,8 @@ TEST(GatLayerTest, InputGradMatchesFiniteDifference) {
   const Tensor gy = RandTensor(2, 2, 15);
   std::unique_ptr<LayerContext> ctx;
   layer.Forward(blk.csr(), blk.num_dst, input, &ctx);
-  const Tensor gin = layer.Backward(blk.csr(), blk.num_dst, *ctx, gy);
+  const Tensor gin =
+      layer.Backward(blk.csr(), blk.num_dst, *ctx, gy, InputGrad::kCompute);
   const float eps = 1e-2f;
   for (std::int64_t i = 0; i < input.numel(); ++i) {
     const float orig = input.data()[i];
@@ -187,6 +190,81 @@ TEST(GatLayerTest, AttentionWeightsNormalized) {
     EXPECT_NEAR(alpha[0] + alpha[1], 1.0f, 1e-5f);  // dst0 edges
     EXPECT_NEAR(alpha[2] + alpha[3], 1.0f, 1e-5f);  // dst1 edges
   }
+}
+
+// A random block with ragged degrees, large enough that the layer GEMMs run
+// full register tiles as well as their row and column rims.
+struct RandomBlock {
+  std::vector<std::int64_t> indptr{0};
+  std::vector<std::int64_t> col;
+  std::int64_t num_dst = 37;
+  std::int64_t num_src = 101;
+  explicit RandomBlock(std::uint64_t seed) {
+    Rng rng(seed);
+    for (std::int64_t d = 0; d < num_dst; ++d) {
+      const std::uint64_t deg = 1 + rng.NextBelow(6);
+      for (std::uint64_t e = 0; e < deg; ++e) {
+        col.push_back(static_cast<std::int64_t>(
+            rng.NextBelow(static_cast<std::uint64_t>(num_src))));
+      }
+      indptr.push_back(static_cast<std::int64_t>(col.size()));
+    }
+  }
+  CsrView csr() const { return {indptr, col}; }
+};
+
+/// Parameter grads after one Forward + Backward(input_grad), starting from
+/// non-zero grads so accumulation into existing values is covered too.
+std::vector<Tensor> ParamGradsAfterBackward(GnnLayer& layer, const RandomBlock& blk,
+                                            const Tensor& input, const Tensor& gy,
+                                            InputGrad input_grad) {
+  std::vector<Param*> params;
+  layer.CollectParams(params);
+  for (Param* p : params) p->grad.Fill(0.25f);
+  std::unique_ptr<LayerContext> ctx;
+  layer.Forward(blk.csr(), blk.num_dst, input, &ctx);
+  const Tensor gin = layer.Backward(blk.csr(), blk.num_dst, *ctx, gy, input_grad);
+  if (input_grad == InputGrad::kSkip) {
+    EXPECT_TRUE(gin.empty());
+  } else {
+    EXPECT_EQ(gin.rows(), blk.num_src);
+    EXPECT_EQ(gin.cols(), layer.in_dim());
+  }
+  std::vector<Tensor> grads;
+  for (Param* p : params) grads.push_back(p->grad);
+  return grads;
+}
+
+void ExpectParamOnlyBackwardBitIdentical(GnnLayer& layer, std::uint64_t seed) {
+  const RandomBlock blk(seed);
+  const Tensor input = RandTensor(blk.num_src, layer.in_dim(), seed + 1);
+  const Tensor gy = RandTensor(blk.num_dst, layer.out_dim(), seed + 2);
+  const std::vector<Tensor> full =
+      ParamGradsAfterBackward(layer, blk, input, gy, InputGrad::kCompute);
+  const std::vector<Tensor> params_only =
+      ParamGradsAfterBackward(layer, blk, input, gy, InputGrad::kSkip);
+  std::vector<Param*> params;
+  layer.CollectParams(params);
+  ASSERT_EQ(full.size(), params_only.size());
+  for (std::size_t i = 0; i < full.size(); ++i) {
+    ASSERT_TRUE(full[i].SameShape(params_only[i])) << params[i]->name;
+    EXPECT_EQ(std::memcmp(full[i].data(), params_only[i].data(),
+                          static_cast<std::size_t>(full[i].bytes())),
+              0)
+        << params[i]->name;
+  }
+}
+
+TEST(LayerBackwardTest, SageParamOnlyBackwardMatchesFullBitwise) {
+  Rng rng(40);
+  SageLayer layer(45, 19, rng);
+  ExpectParamOnlyBackwardBitIdentical(layer, 41);
+}
+
+TEST(LayerBackwardTest, GatParamOnlyBackwardMatchesFullBitwise) {
+  Rng rng(42);
+  GatLayer layer(45, 5, 3, rng);
+  ExpectParamOnlyBackwardBitIdentical(layer, 43);
 }
 
 TEST(GnnModelTest, DimensionChaining) {

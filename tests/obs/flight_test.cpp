@@ -45,7 +45,9 @@ TEST_F(FlightTest, RingWrapAroundKeepsTheMostRecentEvents) {
   for (std::size_t i = 0; i < events.size(); ++i) {
     EXPECT_DOUBLE_EQ(events[i].args[0].num,
                      static_cast<double>(total - cap + i));
-    if (i > 0) EXPECT_GT(events[i].seq, events[i - 1].seq);
+    if (i > 0) {
+      EXPECT_GT(events[i].seq, events[i - 1].seq);
+    }
   }
   EXPECT_GE(obs::Flight().Dropped(), static_cast<std::uint64_t>(44));
 }

@@ -61,7 +61,9 @@ TEST(Traffic, PoissonIsDeterministicSortedAndBounded) {
     EXPECT_EQ(a[i].arrival_s, b[i].arrival_s);
     EXPECT_GE(a[i].arrival_s, 0.0);
     EXPECT_LT(a[i].arrival_s, config.duration_s);
-    if (i > 0) EXPECT_GE(a[i].arrival_s, a[i - 1].arrival_s);
+    if (i > 0) {
+      EXPECT_GE(a[i].arrival_s, a[i - 1].arrival_s);
+    }
     EXPECT_GE(a[i].seed, 0);
     EXPECT_LT(a[i].seed, config.num_nodes);
   }
@@ -156,7 +158,9 @@ TEST(Batcher, CloseTimesAreMonotone) {
     total += plan.batches[i].requests.size();
     EXPECT_LE(plan.batches[i].requests.size(),
               static_cast<std::size_t>(policy.max_batch));
-    if (i > 0) EXPECT_GE(plan.batches[i].close_s, plan.batches[i - 1].close_s);
+    if (i > 0) {
+      EXPECT_GE(plan.batches[i].close_s, plan.batches[i - 1].close_s);
+    }
   }
   EXPECT_EQ(total, reqs.size());  // every request lands somewhere
 }
@@ -301,7 +305,9 @@ TEST(ServeEngine, ShedsUnderOverloadWithTypedReason) {
   EXPECT_EQ(report.shed_poisoned, 0);
   EXPECT_GT(report.served, 0);  // admitted requests still complete
   for (const Response& r : report.responses) {
-    if (r.shed) EXPECT_EQ(r.shed_reason, ShedReason::kQueueFull);
+    if (r.shed) {
+      EXPECT_EQ(r.shed_reason, ShedReason::kQueueFull);
+    }
   }
   // Admission control bounds the latency of admitted requests: everything
   // served waited at most the backlog bound's worth of service, not the

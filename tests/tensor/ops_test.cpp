@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <sstream>
+#include <string>
 
 #include "core/random.h"
+#include "runtime/parallel_for.h"
 #include "tensor/init.h"
 #include "tensor/ops.h"
 
@@ -132,11 +136,13 @@ void RefMatmulNT(const Tensor& a, const Tensor& b, Tensor& c, float alpha,
 
 TEST(MatmulTest, RandomizedParityOddShapes) {
   // Shapes chosen to hit every edge path of the register-blocked kernels:
-  // partial m-tiles (m % 4), partial n-tiles (n % 8), partial k-panels
-  // (k % 256), and degenerate 1-row/1-col cases.
+  // every row rim (m % 8), column rims (n % 16, NT's n % 4), partial
+  // k-panels (k % 256), and degenerate 1-row/1-col cases.
   const std::int64_t shapes[][3] = {
-      {1, 1, 1},  {2, 3, 5},   {3, 9, 7},   {5, 17, 33}, {7, 63, 9},
-      {9, 65, 17}, {33, 7, 65}, {63, 33, 63}, {65, 8, 4},  {4, 257, 8},
+      {1, 1, 1},    {2, 3, 5},     {3, 9, 7},    {5, 17, 33},  {7, 63, 9},
+      {9, 65, 17},  {33, 7, 65},   {63, 33, 63}, {65, 8, 4},   {4, 257, 8},
+      {8, 16, 16},  {6, 255, 31},  {10, 256, 47}, {12, 300, 30}, {14, 600, 18},
+      {15, 31, 129}, {16, 257, 64}, {17, 5, 15},  {22, 100, 2},  {24, 40, 160},
   };
   const float ab[][2] = {{1.0f, 0.0f}, {2.0f, 0.0f}, {1.0f, 1.0f}, {0.5f, -1.5f}};
   std::uint64_t seed = 100;
@@ -178,6 +184,160 @@ TEST(MatmulTest, RandomizedParityOddShapes) {
       }
     }
   }
+}
+
+enum class GemmOp { kNN, kTN, kNT };
+
+const char* Name(GemmOp op) {
+  return op == GemmOp::kNN ? "Matmul" : op == GemmOp::kTN ? "MatmulTN" : "MatmulNT";
+}
+
+void RunGemm(GemmOp op, ConstMatrixRef a, ConstMatrixRef b, MatrixRef c,
+             float alpha, float beta) {
+  switch (op) {
+    case GemmOp::kNN: return Matmul(a, b, c, alpha, beta);
+    case GemmOp::kTN: return MatmulTN(a, b, c, alpha, beta);
+    case GemmOp::kNT: return MatmulNT(a, b, c, alpha, beta);
+  }
+}
+
+bool BitEqual(const float* x, const float* y, std::int64_t n) {
+  return std::memcmp(x, y, static_cast<std::size_t>(n) * sizeof(float)) == 0;
+}
+
+/// Operands of C[m,n] = op(A) op(B) in the layouts each GemmOp takes.
+struct GemmCase {
+  GemmOp op;
+  std::int64_t m, k, n;
+  float alpha, beta;
+  Tensor a, b, c0;
+  GemmCase(GemmOp o, std::int64_t m_, std::int64_t k_, std::int64_t n_, float al,
+           float be, std::uint64_t seed)
+      : op(o), m(m_), k(k_), n(n_), alpha(al), beta(be),
+        a(o == GemmOp::kTN ? RandTensor(k, m, seed) : RandTensor(m, k, seed)),
+        b(o == GemmOp::kNT ? RandTensor(n, k, seed + 1) : RandTensor(k, n, seed + 1)),
+        c0(RandTensor(m, n, seed + 2)) {}
+
+  Tensor Whole() const {
+    Tensor c = c0;
+    RunGemm(op, a, b, c, alpha, beta);
+    return c;
+  }
+
+  /// One call per C row.
+  Tensor RowByRow() const {
+    Tensor c = c0;
+    for (std::int64_t i = 0; i < m; ++i) {
+      const MatrixRef crow(c.row(i), 1, n);
+      if (op == GemmOp::kTN) {
+        Tensor col(k, 1);  // row i of C = column i of the stored [k, m] A
+        for (std::int64_t p = 0; p < k; ++p) col(p, 0) = a(p, i);
+        RunGemm(op, col, b, crow, alpha, beta);
+      } else {
+        RunGemm(op, ConstMatrixRef(a.row(i), 1, k), b, crow, alpha, beta);
+      }
+    }
+    return c;
+  }
+
+  /// Operands and C as the leading rows of taller tensors whose extra rows
+  /// must be neither read nor written.
+  Tensor ViaRowPrefix() const {
+    constexpr std::int64_t kExtra = 3;
+    const auto tall = [](const Tensor& t) {
+      Tensor out(t.rows() + kExtra, t.cols());
+      out.Fill(std::nanf(""));
+      std::copy_n(t.data(), t.numel(), out.data());
+      return out;
+    };
+    const Tensor ta = tall(a), tb = tall(b);
+    Tensor tc(m + kExtra, n);
+    tc.Fill(-7.0f);
+    std::copy_n(c0.data(), c0.numel(), tc.data());
+    RunGemm(op, RowPrefix(ta, a.rows()), RowPrefix(tb, b.rows()), RowPrefix(tc, m),
+            alpha, beta);
+    for (std::int64_t i = m * n; i < tc.numel(); ++i) {
+      EXPECT_EQ(tc.data()[i], -7.0f) << "row prefix wrote past its rows";
+    }
+    Tensor c(m, n);
+    std::copy_n(tc.data(), c.numel(), c.data());
+    return c;
+  }
+
+  std::string Label() const {
+    std::ostringstream os;
+    os << Name(op) << " m=" << m << " k=" << k << " n=" << n << " alpha=" << alpha
+       << " beta=" << beta;
+    return os.str();
+  }
+};
+
+TEST(MatmulTest, TilingInvariantBitwise) {
+  // Every C element has one accumulation order, so the result is bit-identical
+  // however the rows are split: across lanes, one row per call, or through
+  // row-prefix views. m = 8..15 covers each row rim mod 8 next to a full
+  // tile, n = 16..31 each column rim mod 16; k straddles the 256 panel.
+  const GemmOp ops[] = {GemmOp::kNN, GemmOp::kTN, GemmOp::kNT};
+  const std::int64_t ks[] = {1, 255, 256, 257, 600};
+  const float ab[][2] = {{1.0f, 0.0f}, {1.0f, 1.0f}, {0.5f, -1.5f}};
+  std::uint64_t seed = 500;
+  for (const GemmOp op : ops) {
+    for (std::int64_t m = 8; m < 16; ++m) {
+      for (std::int64_t n = 16; n < 32; ++n) {
+        for (const std::int64_t k : ks) {
+          for (const auto& co : ab) {
+            const GemmCase g(op, m, k, n, co[0], co[1], seed += 3);
+            Tensor one_lane;
+            {
+              ScopedParallelismLimit limit(1);
+              one_lane = g.Whole();
+            }
+            const std::int64_t numel = m * n;
+            ASSERT_TRUE(BitEqual(one_lane.data(), g.Whole().data(), numel))
+                << g.Label() << " all lanes";
+            ASSERT_TRUE(BitEqual(one_lane.data(), g.RowByRow().data(), numel))
+                << g.Label() << " single rows";
+            ASSERT_TRUE(BitEqual(one_lane.data(), g.ViaRowPrefix().data(), numel))
+                << g.Label() << " row prefix";
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(MatmulTest, LaneSplitInvariantBitwise) {
+  // Tall enough that every op actually forks (m above the row grain even at
+  // k = 1), with m % 8 != 0 so lane chunks end mid-tile.
+  const GemmOp ops[] = {GemmOp::kNN, GemmOp::kTN, GemmOp::kNT};
+  const std::int64_t ks[] = {1, 257, 600};
+  const std::int64_t ns[] = {16, 47};
+  const float ab[][2] = {{1.0f, 0.0f}, {1.0f, 1.0f}, {0.5f, -1.5f}};
+  std::uint64_t seed = 900;
+  for (const GemmOp op : ops) {
+    for (const std::int64_t k : ks) {
+      for (const std::int64_t n : ns) {
+        for (const auto& co : ab) {
+          const GemmCase g(op, 1029, k, n, co[0], co[1], seed += 3);
+          Tensor one_lane;
+          {
+            ScopedParallelismLimit limit(1);
+            one_lane = g.Whole();
+          }
+          ASSERT_TRUE(BitEqual(one_lane.data(), g.Whole().data(), g.m * n))
+              << g.Label();
+        }
+      }
+    }
+  }
+}
+
+TEST(MatmulTest, RowPrefixChecksBounds) {
+  Tensor t(3, 2);
+  EXPECT_EQ(RowPrefix(t, 2).rows, 2);
+  EXPECT_EQ(RowPrefix(t, 0).rows, 0);
+  EXPECT_THROW(RowPrefix(t, 4), Error);
+  EXPECT_THROW(RowPrefix(t, -1), Error);
 }
 
 TEST(MatmulTest, EmptyOutputsAreNoOps) {
