@@ -78,6 +78,8 @@ void WriteEpochJson(obs::JsonWriter& w, const EpochStats& e) {
   }
 }
 
+}  // namespace
+
 /// One record per case: the full per-strategy breakdown plus the planner's
 /// estimates, keyed the way downstream tooling plots the figures.
 void RecordCase(const CaseResult& result) {
@@ -106,8 +108,6 @@ void RecordCase(const CaseResult& result) {
   w.EndObject();
   AddRecord(os.str());
 }
-
-}  // namespace
 
 void BenchInit(const std::string& name, int* argc, char** argv) {
   BenchRun& run = Run();

@@ -71,6 +71,10 @@ CaseResult RunCase(const CaseConfig& config);
 void PrintTableHeader(const std::string& sweep_name);
 void PrintCaseRow(const CaseResult& result);
 
+/// Appends `result` as a machine-readable record (what PrintCaseRow does
+/// after printing), for benches that print their own table.
+void RecordCase(const CaseResult& result);
+
 // --- shared run harness: obs wiring + machine-readable output -------------
 //
 // Every bench main brackets its work with BenchInit/BenchFinish:

@@ -8,6 +8,7 @@
 // and added to each strategy's estimate. The paper reports a maximum error
 // of ~5.5%.
 #include <cstdio>
+#include <string>
 
 #include "bench_util.h"
 
@@ -27,12 +28,14 @@ int main(int argc, char** argv) {
   double worst_err = 0.0;
   for (std::int64_t hidden : {32, 128}) {
     CaseConfig cfg;
+    cfg.label = "fig12_h" + std::to_string(hidden);
     cfg.dataset = &ds;
     cfg.cluster = SingleMachineCluster(8);
     cfg.model = SageConfig(ds, hidden);
     cfg.opts = PaperDefaults();
     cfg.opts.cache_bytes_per_device = DefaultCacheBytes(ds);
     const CaseResult result = RunCase(cfg);
+    RecordCase(result);
 
     // Shared computation term: GDP's measured training phase (no shuffles).
     const double t_train = result.of(Strategy::kGDP).epoch.train_seconds;

@@ -1,10 +1,11 @@
 #include "apt/dryrun.h"
 
 #include <algorithm>
-#include <unordered_set>
 
+#include "comm/collectives.h"
 #include "core/timer.h"
 #include "engine/exec_common.h"
+#include "engine/permute.h"
 #include "sampling/frequency.h"
 #include "sampling/minibatch.h"
 #include "sampling/neighbor_sampler.h"
@@ -12,108 +13,46 @@
 
 namespace apt {
 
-std::int64_t Layer0OutDim(const ModelConfig& model) {
-  const bool single = model.num_layers == 1;
-  if (model.kind == ModelKind::kSage) {
-    return single ? model.num_classes : model.hidden_dim;
-  }
-  return single ? model.num_classes : model.hidden_dim * model.gat_heads;
-}
-
 namespace {
 
 constexpr std::int64_t kF = sizeof(float);
 
-/// Mirrors engine/exec_common AssignSeeds without needing an EngineCtx.
-std::vector<std::vector<NodeId>> Assign(std::span<const NodeId> seeds,
-                                        SeedAssignment assignment,
-                                        const std::vector<PartId>& partition,
-                                        std::int32_t c) {
-  std::vector<std::vector<NodeId>> out(static_cast<std::size_t>(c));
-  if (assignment == SeedAssignment::kChunked) {
-    const std::size_t n = seeds.size();
-    const std::size_t chunk = (n + static_cast<std::size_t>(c) - 1) / c;
-    for (std::size_t dev = 0; dev < static_cast<std::size_t>(c); ++dev) {
-      const std::size_t lo = std::min(n, dev * chunk);
-      const std::size_t hi = std::min(n, lo + chunk);
-      out[dev].assign(seeds.begin() + lo, seeds.begin() + hi);
-    }
-  } else {
-    for (NodeId s : seeds) {
-      out[static_cast<std::size_t>(partition[static_cast<std::size_t>(s)])].push_back(s);
-    }
-  }
-  return out;
-}
-
-double SampleCost(const ClusterSpec& cluster, DeviceId dev, const SampledBatch& batch) {
-  // Mirrors engine/exec_common SampleSeconds exactly: the per-seed
-  // expansion multiset, not the deduplicated node lists, drives UVA
-  // sampling work.
-  const MachineSpec& m = cluster.machine(cluster.MachineOf(dev));
-  return SampleTreeEdges(batch) * m.cpu_sample_edge_s +
-         static_cast<double>(batch.blocks.size()) * m.gpu.kernel_launch_s;
-}
-
-/// Execute compute time for one device's batch: the full forward+backward
-/// flop count (mirrors exec_common ChargeStepCompute with first_layer = 0;
-/// the paper's strategy-independent T_train) through the device's flop rate.
-double ComputeCost(const ClusterSpec& cluster, const GnnModel& probe, DeviceId dev,
-                   const SampledBatch& batch) {
-  const int layers =
-      std::min(probe.num_layers(), static_cast<int>(batch.blocks.size()));
-  double flops = 0.0;
-  for (int k = 0; k < layers; ++k) {
-    const Block& b = batch.blocks[static_cast<std::size_t>(k)];
-    flops += probe.layer(k).ForwardFlops(b.num_src(), b.num_dst, b.num_edges()) +
-             probe.layer(k).BackwardFlops(b.num_src(), b.num_dst, b.num_edges());
-  }
-  const auto& gpu = cluster.machine(cluster.MachineOf(dev)).gpu;
-  return gpu.kernel_launch_s + flops / gpu.EffectiveFlops();
-}
-
-/// Runs one deterministic epoch of sampling under `assignment`, invoking
-/// `visit(step, per-device batches)` for each step.
+/// Runs one deterministic epoch (epoch 0 of `plan`) of sampling under
+/// `assignment`, invoking `visit(per-device batches)` for each step. The
+/// seed schedule and the per-step / per-device rng forks are the trainer's.
 template <typename Visit>
-void SamplingEpoch(const Dataset& ds, const EngineOptions& opts,
-                   const std::vector<PartId>& partition, std::int32_t c,
-                   SeedAssignment assignment, const Visit& visit) {
+void SamplingEpoch(const Dataset& ds, const EngineOptions& opts, const MinibatchPlan& plan,
+                   const std::vector<PartId>& partition, SeedAssignment assignment,
+                   const Visit& visit) {
   NeighborSampler sampler(ds.graph, opts.fanouts);
-  // Mirrors the trainer's two scheduling modes exactly: a globally shuffled
-  // order sliced into chunks, or DistDGL-style partition-local queues.
-  MinibatchPlan plan(ds.train_nodes, opts.batch_size_per_device, c);
-  const bool partitioned = assignment == SeedAssignment::kPartition;
-  const std::vector<NodeId> epoch_seeds =
-      partitioned ? std::vector<NodeId>{} : plan.EpochSeeds(0);
-  const std::vector<std::vector<NodeId>> queues =
-      partitioned
-          ? PerDeviceEpochQueues(ds.train_nodes, partition, c, /*epoch=*/0)
-          : std::vector<std::vector<NodeId>>{};
-  const std::int64_t steps =
-      partitioned ? QueueStepsPerEpoch(queues, opts.batch_size_per_device)
-                  : plan.StepsPerEpoch();
+  const EpochSeedSchedule schedule(plan, assignment, partition, /*epoch=*/0);
   Rng epoch_rng = Rng(opts.sample_seed).Fork(0);
-  for (std::int64_t step = 0; step < steps; ++step) {
-    std::vector<std::vector<NodeId>> per_device;
-    if (partitioned) {
-      per_device.resize(queues.size());
-      for (std::size_t dq = 0; dq < queues.size(); ++dq) {
-        const auto slice =
-            QueueStepSlice(queues[dq], step, opts.batch_size_per_device);
-        per_device[dq].assign(slice.begin(), slice.end());
-      }
-    } else {
-      const std::vector<NodeId> step_seeds = plan.StepSeeds(epoch_seeds, step);
-      per_device = Assign(step_seeds, assignment, partition, c);
-    }
+  for (std::int64_t step = 0; step < schedule.steps(); ++step) {
+    const std::vector<std::vector<NodeId>> per_device = schedule.StepSeeds(step);
     Rng step_rng = epoch_rng.Fork(static_cast<std::uint64_t>(step));
-    std::vector<SampledBatch> batches(static_cast<std::size_t>(c));
-    for (std::int32_t dev = 0; dev < c; ++dev) {
-      Rng dev_rng = step_rng.Fork(static_cast<std::uint64_t>(dev));
-      batches[static_cast<std::size_t>(dev)] =
-          sampler.Sample(per_device[static_cast<std::size_t>(dev)], dev_rng);
+    std::vector<DeviceBatch> batches(per_device.size());
+    for (std::size_t dev = 0; dev < per_device.size(); ++dev) {
+      Rng dev_rng = step_rng.Fork(dev);
+      batches[dev].sample = sampler.Sample(per_device[dev], dev_rng);
     }
-    visit(step, batches);
+    visit(batches);
+  }
+}
+
+/// Adds one step's Permute records to a strategy's volumes. Graph-shuffle
+/// bytes are what AllToAllObjects charges for them (the sum over o != g of
+/// bytes()); every record that leaves its origin comes back as one
+/// hidden-embedding row, counted per receiving device in `step_rows`.
+template <typename T>
+void TallyShuffle(const Routed<T>& sends, StrategyDryRun& st,
+                  std::vector<std::int64_t>& step_rows) {
+  for (std::size_t o = 0; o < sends.size(); ++o) {
+    for (std::size_t g = 0; g < sends[o].size(); ++g) {
+      if (o == g) continue;
+      st.graph_shuffle_bytes += sends[o][g].bytes();
+      st.shuffle_rows += sends[o][g].size();
+      step_rows[g] += sends[o][g].size();
+    }
   }
 }
 
@@ -126,20 +65,19 @@ DryRunResult DryRun(const Dataset& dataset, const ClusterSpec& cluster,
   DryRunResult res;
   const std::int32_t c = cluster.num_devices();
   const std::int64_t d = dataset.feature_dim();
-  const std::int64_t d1 = Layer0OutDim(model);
   const bool gat = model.kind == ModelKind::kGat;
-  res.profile = opts.sim.scale_mode == ScaleMode::kScale
-                    ? ProfileCommunicationAnalytic(cluster)
-                    : ProfileCommunication(cluster);
+  res.profile = ProfileCommunication(cluster);
   // Parameter-carrying probe for the compute half of the overlap-aware cost
-  // model (flop counting only; nothing is ever run through it).
+  // model and the layer sizes (nothing is ever run through it).
   const GnnModel probe(model);
+  const std::int64_t d1 = probe.layer(0).out_dim();
+  const MinibatchPlan plan(dataset.train_nodes, opts.batch_size_per_device, c);
 
   // ---- Pass 1 (chunked): node access frequencies. --------------------------
   FrequencyCollector freq(dataset.graph.num_nodes());
-  SamplingEpoch(dataset, opts, partition, c, SeedAssignment::kChunked,
-                [&](std::int64_t, const std::vector<SampledBatch>& batches) {
-                  for (const auto& b : batches) freq.Record(b);
+  SamplingEpoch(dataset, opts, plan, partition, SeedAssignment::kChunked,
+                [&](const std::vector<DeviceBatch>& batches) {
+                  for (const auto& b : batches) freq.Record(b.sample);
                 });
   res.hotness.assign(freq.counts().begin(), freq.counts().end());
 
@@ -178,33 +116,54 @@ DryRunResult DryRun(const Dataset& dataset, const ClusterSpec& cluster,
   auto& snp = res.per_strategy[static_cast<std::size_t>(Strategy::kSNP)];
   auto& dnp = res.per_strategy[static_cast<std::size_t>(Strategy::kDNP)];
 
+  // One full-width batched feature gather by device g, tier-classified the
+  // way FeatureStore::Gather charges it; the step's load time is its slowest
+  // device's.
+  const auto load = [&](Strategy s, std::int32_t g, std::span<const NodeId> nodes,
+                        double& step_load) {
+    const auto si = static_cast<std::size_t>(s);
+    StrategyDryRun& st = res.per_strategy[si];
+    const LoadVolume vol = stores[si]->CountGather(g, nodes, 0, d);
+    st.load[static_cast<std::size_t>(g)].Add(vol);
+    step_load = std::max(step_load, stores[si]->LoadSeconds(g, vol));
+    st.peak_transient_bytes = std::max(
+        st.peak_transient_bytes, 2 * static_cast<std::int64_t>(nodes.size()) * d * kF);
+  };
+
+  // One step's sampling and execute-compute time, added to both strategies
+  // that share its samples. The slowest device bounds each step (the trainer
+  // synchronizes at every collective), so epoch estimates sum per-step
+  // maxima. Compute is the full forward+backward flop count: the paper's
+  // strategy-independent T_train.
+  const auto add_step_times = [&](const std::vector<DeviceBatch>& batches,
+                                  StrategyDryRun& a, StrategyDryRun& b) {
+    double sample = 0.0, compute = 0.0;
+    for (std::int32_t dev = 0; dev < c; ++dev) {
+      const SampledBatch& batch = batches[static_cast<std::size_t>(dev)].sample;
+      const DeviceSpec& gpu = cluster.machine(cluster.MachineOf(dev)).gpu;
+      sample = std::max(sample, SampleSeconds(cluster, dev, batch));
+      compute = std::max(compute, gpu.kernel_launch_s + StepFlops(probe, batch.blocks, 0) /
+                                                            gpu.EffectiveFlops());
+    }
+    a.sample_seconds += sample;
+    b.sample_seconds += sample;
+    a.train_compute_seconds += compute;
+    b.train_compute_seconds += compute;
+  };
+
   // ---- Pass 2 (chunked): GDP + NFP volumes. ---------------------------------
   const std::int64_t slice = std::max<std::int64_t>(1, d / c);
-  SamplingEpoch(dataset, opts, partition, c, SeedAssignment::kChunked,
-                [&](std::int64_t, const std::vector<SampledBatch>& batches) {
+  SamplingEpoch(dataset, opts, plan, partition, SeedAssignment::kChunked,
+                [&](const std::vector<DeviceBatch>& batches) {
+    add_step_times(batches, gdp, nfp);
     std::int64_t nfp_graph_bytes = 0;
     std::vector<std::int64_t> nfp_transient(static_cast<std::size_t>(c), 0);
-    double step_sample_max = 0.0;
-    double step_compute_max = 0.0;
     double gdp_step_load = 0.0;
     std::vector<LoadVolume> nfp_step_vol(static_cast<std::size_t>(c));
     for (std::int32_t dev = 0; dev < c; ++dev) {
-      const SampledBatch& b = batches[static_cast<std::size_t>(dev)];
-      // The slowest device bounds each step (the trainer synchronizes at
-      // every collective), so the epoch estimate sums per-step maxima.
-      step_sample_max = std::max(step_sample_max, SampleCost(cluster, dev, b));
-      step_compute_max = std::max(step_compute_max, ComputeCost(cluster, probe, dev, b));
-      const Block& b0 = b.blocks.front();
+      const Block& b0 = batches[static_cast<std::size_t>(dev)].sample.blocks.front();
       // GDP: the device loads its own input features at full width.
-      const LoadVolume gdp_step =
-          stores[static_cast<std::size_t>(Strategy::kGDP)]->CountGather(
-              dev, b0.src_nodes, 0, d);
-      gdp.load[static_cast<std::size_t>(dev)].Add(gdp_step);
-      gdp_step_load = std::max(
-          gdp_step_load,
-          stores[static_cast<std::size_t>(Strategy::kGDP)]->LoadSeconds(dev, gdp_step));
-      gdp.peak_transient_bytes = std::max(gdp.peak_transient_bytes,
-                                          2 * b0.num_src() * d * kF);
+      load(Strategy::kGDP, dev, b0.src_nodes, gdp_step_load);
       // NFP: graph broadcast + every device loads its slice of this graph.
       nfp_graph_bytes += b0.bytes();
       for (std::int32_t g = 0; g < c; ++g) {
@@ -220,10 +179,6 @@ DryRunResult DryRun(const Dataset& dataset, const ClusterSpec& cluster,
       // NFP hidden shuffle rows (fwd reduce + bwd broadcast).
       nfp.shuffle_rows += gat ? b0.num_src() : b0.num_dst;
     }
-    gdp.sample_seconds += step_sample_max;
-    nfp.sample_seconds += step_sample_max;
-    gdp.train_compute_seconds += step_compute_max;
-    nfp.train_compute_seconds += step_compute_max;
     gdp.load_seconds += gdp_step_load;
     double nfp_step_load = 0.0;
     for (std::int32_t g = 0; g < c; ++g) {
@@ -240,125 +195,39 @@ DryRunResult DryRun(const Dataset& dataset, const ClusterSpec& cluster,
   });
 
   // ---- Pass 3 (partition): SNP + DNP volumes. -------------------------------
-  std::vector<std::int64_t> snp_dev_rows(static_cast<std::size_t>(c), 0);
-  std::vector<std::int64_t> dnp_dev_rows(static_cast<std::size_t>(c), 0);
+  // The executors' own Permute and gather-list code, run without payloads.
+  const SnpRoute snp_route{partition, &cluster, opts.hybrid_intra_machine};
   std::int64_t snp_step_rows_sum = 0;  // sum over steps of the busiest device
   std::int64_t dnp_step_rows_sum = 0;
-  SamplingEpoch(dataset, opts, partition, c, SeedAssignment::kPartition,
-                [&](std::int64_t, const std::vector<SampledBatch>& batches) {
-    // Per-step, per-owner gather lists. Both SNP and DNP owners gather once
-    // per arriving batch, deduplicated within each origin's batch only — the
-    // same semantics as the executors (and DGL's per-block feature loading).
-    std::vector<std::vector<NodeId>> snp_gather(static_cast<std::size_t>(c));
-    std::vector<std::vector<NodeId>> dnp_gather(static_cast<std::size_t>(c));
-    std::vector<std::unordered_set<NodeId>> dnp_seen(static_cast<std::size_t>(c));
-    std::vector<std::unordered_set<NodeId>> snp_seen(static_cast<std::size_t>(c));
+  SamplingEpoch(dataset, opts, plan, partition, SeedAssignment::kPartition,
+                [&](const std::vector<DeviceBatch>& batches) {
+    add_step_times(batches, snp, dnp);
+    double snp_step_load = 0.0, dnp_step_load = 0.0;
     std::vector<std::int64_t> step_rows_snp(static_cast<std::size_t>(c), 0);
     std::vector<std::int64_t> step_rows_dnp(static_cast<std::size_t>(c), 0);
-    double step_sample_max = 0.0;
-    double step_compute_max = 0.0;
-    for (std::int32_t o = 0; o < c; ++o) {
-      step_sample_max =
-          std::max(step_sample_max,
-                   SampleCost(cluster, o, batches[static_cast<std::size_t>(o)]));
-      step_compute_max =
-          std::max(step_compute_max,
-                   ComputeCost(cluster, probe, o, batches[static_cast<std::size_t>(o)]));
-    }
-    snp.sample_seconds += step_sample_max;
-    dnp.sample_seconds += step_sample_max;
-    snp.train_compute_seconds += step_compute_max;
-    dnp.train_compute_seconds += step_compute_max;
-    for (std::int32_t o = 0; o < c; ++o) {
-      const SampledBatch& b = batches[static_cast<std::size_t>(o)];
-      const Block& b0 = b.blocks.front();
-      for (auto& seen : dnp_seen) seen.clear();
-      for (auto& seen : snp_seen) seen.clear();
-      if (gat) {
-        // SNP+GAT: every layer-1 source's z row comes from its owner.
-        for (std::int64_t i = 0; i < b0.num_src(); ++i) {
-          const NodeId v = b0.src_nodes[static_cast<std::size_t>(i)];
-          const auto g = static_cast<std::size_t>(partition[static_cast<std::size_t>(v)]);
-          snp_gather[g].push_back(v);
-          snp.graph_shuffle_bytes += static_cast<std::int64_t>(g) == o ? 0 : 8;
-          if (static_cast<std::int64_t>(g) != o) {
-            snp.shuffle_rows += 1;
-            ++step_rows_snp[g];
-          }
-        }
+    if (gat) {
+      SnpGatPermute perm = PermuteSnpGat(batches, snp_route);
+      TallyShuffle(perm.requests, snp, step_rows_snp);
+      const auto arrivals = Transpose(std::move(perm.requests));
+      for (std::int32_t g = 0; g < c; ++g) {
+        load(Strategy::kSNP, g, GatherSnpGat(arrivals[static_cast<std::size_t>(g)]).nodes,
+             snp_step_load);
       }
-      std::vector<std::uint8_t> touched(static_cast<std::size_t>(c), 0);
-      for (std::int64_t i = 0; i < b0.num_dst; ++i) {
-        const NodeId dst = b0.src_nodes[static_cast<std::size_t>(i)];
-        const auto dst_owner =
-            static_cast<std::size_t>(partition[static_cast<std::size_t>(dst)]);
-        std::fill(touched.begin(), touched.end(), 0);
-        for (std::int64_t e = b0.indptr[static_cast<std::size_t>(i)];
-             e < b0.indptr[static_cast<std::size_t>(i) + 1]; ++e) {
-          const NodeId u = b0.src_nodes[static_cast<std::size_t>(
-              b0.col[static_cast<std::size_t>(e)])];
-          const auto g = static_cast<std::size_t>(partition[static_cast<std::size_t>(u)]);
-          touched[g] = 1;
-          if (!gat) {
-            if (snp_seen[g].insert(u).second) snp_gather[g].push_back(u);
-            if (static_cast<std::int64_t>(g) != o) snp.graph_shuffle_bytes += 8;
-          }
-          // DNP ships the full edge list to the destination's owner.
-          if (dnp_seen[dst_owner].insert(u).second) {
-            dnp_gather[dst_owner].push_back(u);
-          }
-          if (dst_owner != static_cast<std::size_t>(o)) dnp.graph_shuffle_bytes += 8;
-        }
-        touched[dst_owner] = 1;  // self term / destination row
-        if (!gat && snp_seen[dst_owner].insert(dst).second) {
-          snp_gather[dst_owner].push_back(dst);
-        }
-        if (dnp_seen[dst_owner].insert(dst).second) dnp_gather[dst_owner].push_back(dst);
-        if (!gat) {
-          // One SNP virtual node per (dst, owner-with-sources) pair.
-          for (std::size_t g = 0; g < static_cast<std::size_t>(c); ++g) {
-            if (!touched[g]) continue;
-            snp.graph_shuffle_bytes += static_cast<std::int64_t>(g) == o ? 0 : 3 * 8;
-            if (static_cast<std::int64_t>(g) != o) {
-              snp.shuffle_rows += 1;
-              ++step_rows_snp[g];
-            }
-          }
-        }
-        // One DNP virtual node per remotely-owned destination.
-        dnp.graph_shuffle_bytes += dst_owner == static_cast<std::size_t>(o) ? 0 : 2 * 8;
-        if (dst_owner != static_cast<std::size_t>(o)) {
-          dnp.shuffle_rows += 1;
-          ++step_rows_dnp[dst_owner];
-        }
+    } else {
+      Routed<SnpVirtualBatch> sends = PermuteSnpSage(batches, snp_route);
+      TallyShuffle(sends, snp, step_rows_snp);
+      const auto arrivals = Transpose(std::move(sends));
+      for (std::int32_t g = 0; g < c; ++g) {
+        load(Strategy::kSNP, g, GatherSnpSage(arrivals[static_cast<std::size_t>(g)]).nodes,
+             snp_step_load);
       }
     }
-    double snp_step_load = 0.0, dnp_step_load = 0.0;
+    Routed<DnpDstBatch> dnp_sends = PermuteDnp(batches, partition);
+    TallyShuffle(dnp_sends, dnp, step_rows_dnp);
+    const auto dnp_arrivals = Transpose(std::move(dnp_sends));
     for (std::int32_t g = 0; g < c; ++g) {
-      const auto gi = static_cast<std::size_t>(g);
-      const LoadVolume snp_step =
-          stores[static_cast<std::size_t>(Strategy::kSNP)]->CountGather(
-              g, snp_gather[gi], 0, d);
-      const LoadVolume dnp_step =
-          stores[static_cast<std::size_t>(Strategy::kDNP)]->CountGather(
-              g, dnp_gather[gi], 0, d);
-      snp.load[gi].Add(snp_step);
-      dnp.load[gi].Add(dnp_step);
-      snp_step_load = std::max(
-          snp_step_load,
-          stores[static_cast<std::size_t>(Strategy::kSNP)]->LoadSeconds(g, snp_step));
-      dnp_step_load = std::max(
-          dnp_step_load,
-          stores[static_cast<std::size_t>(Strategy::kDNP)]->LoadSeconds(g, dnp_step));
-      snp.peak_transient_bytes =
-          std::max(snp.peak_transient_bytes,
-                   2 * static_cast<std::int64_t>(snp_gather[gi].size()) * d * kF);
-      dnp.peak_transient_bytes =
-          std::max(dnp.peak_transient_bytes,
-                   2 * static_cast<std::int64_t>(dnp_gather[gi].size()) * d * kF);
-      snp_dev_rows[gi] += step_rows_snp[gi];
-      dnp_dev_rows[gi] += step_rows_dnp[gi];
-      dnp_seen[gi].clear();
+      load(Strategy::kDNP, g, DnpOwnerBlock(dnp_arrivals[static_cast<std::size_t>(g)]).src_nodes,
+           dnp_step_load);
     }
     snp.load_seconds += snp_step_load;
     dnp.load_seconds += dnp_step_load;
@@ -376,9 +245,7 @@ DryRunResult DryRun(const Dataset& dataset, const ClusterSpec& cluster,
   // collectives every step, so their fixed costs scale with step count, not
   // bytes. A serialized all-to-all pays (C-1) point-to-point latencies; a
   // ring pays (C-1) hop latencies.
-  const std::int64_t steps =
-      MinibatchPlan(dataset.train_nodes, opts.batch_size_per_device, c)
-          .StepsPerEpoch();
+  const std::int64_t steps = plan.StepsPerEpoch();
   const MachineSpec& m0 = cluster.machines.front();
   const LinkSpec intra = m0.has_nvlink ? m0.nvlink : m0.pcie;
   const double hop_lat =

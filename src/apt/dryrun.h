@@ -1,9 +1,11 @@
 // Dry-run: the data-dependent half of APT's "Plan" stage (paper §3.2).
 //
-// One epoch of graph sampling is performed per seed-assignment family and
-// the samples are routed through each strategy's Permute logic WITHOUT
-// loading features, shuffling embeddings, or computing — only volumes are
-// collected:
+// One epoch of graph sampling is performed per seed-assignment family, with
+// the trainer's seed schedule and rng streams, and the samples are routed
+// through each strategy's Permute WITHOUT loading features, shuffling
+// embeddings, or computing — only volumes are collected. SNP and DNP run the
+// executors' own Permute and gather-list code (engine/permute.h), so their
+// predicted volumes are the volumes the executors move. Collected:
 //   * node access frequencies (drives the cache configuration),
 //   * computation-graph shuffle bytes (the strategy part of T_build),
 //   * per-device feature-load volumes by memory tier (T_load),
@@ -78,8 +80,5 @@ struct DryRunResult {
 DryRunResult DryRun(const Dataset& dataset, const ClusterSpec& cluster,
                     const std::vector<PartId>& partition, const EngineOptions& opts,
                     const ModelConfig& model);
-
-/// Output dimension of the first (distributed) layer for the cost model.
-std::int64_t Layer0OutDim(const ModelConfig& model);
 
 }  // namespace apt

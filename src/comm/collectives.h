@@ -33,6 +33,17 @@
 
 namespace apt {
 
+/// recv[j][i] = sends[i][j]: where an all-to-all delivers each message.
+template <typename T>
+std::vector<std::vector<T>> Transpose(std::vector<std::vector<T>> sends) {
+  std::vector<std::vector<T>> recv(sends.size());
+  for (std::size_t j = 0; j < sends.size(); ++j) {
+    recv[j].resize(sends.size());
+    for (std::size_t i = 0; i < sends.size(); ++i) recv[j][i] = std::move(sends[i][j]);
+  }
+  return recv;
+}
+
 class Communicator {
  public:
   /// The communicator charges time to `ctx`'s clocks; `phase` attribution is
@@ -108,11 +119,7 @@ class Communicator {
         bytes[i][j] = i == j ? 0 : static_cast<std::int64_t>(bytes_fn(sends[i][j]));
       }
     }
-    std::vector<std::vector<T>> recv(c);
-    for (std::size_t j = 0; j < c; ++j) {
-      recv[j].resize(c);
-      for (std::size_t i = 0; i < c; ++i) recv[j][i] = std::move(sends[i][j]);
-    }
+    std::vector<std::vector<T>> recv = Transpose(std::move(sends));
     ChargeAllToAll(bytes, phase);
     return recv;
   }

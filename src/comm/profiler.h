@@ -3,7 +3,12 @@
 // APT measures the achieved speed of each communication operator before
 // planning, so the cost models can convert dry-run volumes into seconds.
 // The profiler runs timed trials through the same Communicator / link model
-// the execution engine uses, on a scratch SimContext.
+// the execution engine uses, on a scratch SimContext. The trials use the
+// shape-only collective entry points (AllToAllTensorShapes,
+// AllReduceSumShape, AllBroadcastTensorShapes): they charge bit-identical
+// seconds to the byte-moving collectives without materializing a trial
+// tensor, so profiling needs no trial buffers and stays cheap at any
+// cluster size.
 #pragma once
 
 #include <cstdint>
@@ -37,17 +42,5 @@ CommProfile ProfileCommunication(const ClusterSpec& cluster,
 CommProfile ProfileCommunication(const ClusterSpec& cluster, const FaultPlan& faults,
                                  double at_time_s,
                                  std::int64_t trial_bytes = 16LL << 20);
-
-/// Scale-mode variants: identical trial geometry and link/codec math, but the
-/// trials run through the analytic shape entry points (no trial tensors are
-/// materialized or moved) on a scale-mode scratch context. Charged seconds —
-/// and hence the derived bytes/s — are bit-identical to ProfileCommunication
-/// (the golden-parity suite pins this); only the profiling wall cost changes,
-/// which is what lets ResilientRunner re-profile a 1000-device cluster.
-CommProfile ProfileCommunicationAnalytic(const ClusterSpec& cluster,
-                                         std::int64_t trial_bytes = 16LL << 20);
-CommProfile ProfileCommunicationAnalytic(const ClusterSpec& cluster,
-                                         const FaultPlan& faults, double at_time_s,
-                                         std::int64_t trial_bytes = 16LL << 20);
 
 }  // namespace apt

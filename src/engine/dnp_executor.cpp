@@ -13,10 +13,9 @@
 // all-to-all, the owners' feature gathers (kLoad) and the embedding-row
 // return shuffle ride the per-device comm stream; the owner-side layer-1
 // compute overlaps with the neighbouring micro-batches' shuffles.
-#include <unordered_map>
-
 #include "engine/exec_common.h"
 #include "engine/executor.h"
+#include "engine/permute.h"
 #include "engine/quantized_grad.h"
 #include "obs/trace.h"
 #include "tensor/ops.h"
@@ -24,20 +23,6 @@
 namespace apt {
 
 namespace {
-
-/// Destination records shipped from origin o to owner g.
-struct DnpDstBatch {
-  std::vector<std::int64_t> dst_local;   ///< row in origin's layer-1 output
-  std::vector<NodeId> dst_global;
-  std::vector<std::int64_t> src_indptr;  ///< size n+1
-  std::vector<NodeId> srcs;              ///< global source ids (per edge)
-
-  std::int64_t size() const { return static_cast<std::int64_t>(dst_local.size()); }
-  std::int64_t bytes() const {
-    return static_cast<std::int64_t>(dst_local.size() * 8 + dst_global.size() * 8 +
-                                     src_indptr.size() * 8 + srcs.size() * 8);
-  }
-};
 
 class DnpExecutor final : public StrategyExecutor {
  public:
@@ -55,25 +40,7 @@ class DnpExecutor final : public StrategyExecutor {
 
     // ---- Permute: group destinations by owner. ---------------------------
     obs::StageSpan stage("permute", "dnp");
-    std::vector<std::vector<DnpDstBatch>> sends(
-        static_cast<std::size_t>(c), std::vector<DnpDstBatch>(static_cast<std::size_t>(c)));
-    for (DeviceId o = 0; o < c; ++o) {
-      const Block& b = batches[static_cast<std::size_t>(o)].sample.blocks[0];
-      for (std::int64_t i = 0; i < b.num_dst; ++i) {
-        const NodeId dst = b.src_nodes[static_cast<std::size_t>(i)];
-        const auto g = static_cast<std::size_t>(ctx_->OwnerOf(dst));
-        DnpDstBatch& db = sends[static_cast<std::size_t>(o)][g];
-        if (db.src_indptr.empty()) db.src_indptr.push_back(0);
-        db.dst_local.push_back(i);
-        db.dst_global.push_back(dst);
-        for (std::int64_t e = b.indptr[static_cast<std::size_t>(i)];
-             e < b.indptr[static_cast<std::size_t>(i) + 1]; ++e) {
-          db.srcs.push_back(
-              b.src_nodes[static_cast<std::size_t>(b.col[static_cast<std::size_t>(e)])]);
-        }
-        db.src_indptr.push_back(static_cast<std::int64_t>(db.srcs.size()));
-      }
-    }
+    Routed<DnpDstBatch> sends = PermuteDnp(batches, *ctx_->partition);
 
     // ---- Shuffle destinations to their owners. ---------------------------
     stage.Next("shuffle");
@@ -84,9 +51,7 @@ class DnpExecutor final : public StrategyExecutor {
     // ---- Execute: owners build a local block and run the full layer. ------
     stage.Next("execute");
     struct OwnerWork {
-      Block block;                             ///< owner-local layer-1 graph
-      std::vector<DeviceId> origin_of;         ///< per local dst
-      std::vector<std::int64_t> dst_local_of;  ///< per local dst
+      Block block;  ///< owner-local layer-1 graph
       std::unique_ptr<LayerContext> saved;
     };
     std::vector<OwnerWork> work(static_cast<std::size_t>(c));
@@ -94,42 +59,8 @@ class DnpExecutor final : public StrategyExecutor {
         static_cast<std::size_t>(c), std::vector<Tensor>(static_cast<std::size_t>(c)));
     for (DeviceId g = 0; g < c; ++g) {
       OwnerWork& w = work[static_cast<std::size_t>(g)];
-      // Destination rows come first (Block prefix convention); each record
-      // keeps its own row even if the same node arrives from two origins,
-      // because its sampled edge lists differ per origin.
-      Block& lb = w.block;
-      for (DeviceId o = 0; o < c; ++o) {
-        const DnpDstBatch& db = recv[static_cast<std::size_t>(g)][static_cast<std::size_t>(o)];
-        for (std::int64_t r = 0; r < db.size(); ++r) {
-          lb.src_nodes.push_back(db.dst_global[static_cast<std::size_t>(r)]);
-          w.origin_of.push_back(o);
-          w.dst_local_of.push_back(db.dst_local[static_cast<std::size_t>(r)]);
-        }
-      }
-      lb.num_dst = static_cast<std::int64_t>(lb.src_nodes.size());
-      lb.indptr.push_back(0);
-      // Sources are deduplicated within each origin's batch only (one DGL
-      // gather per arriving virtual-node batch, matching the per-block
-      // loading semantics the cost model assumes). Destination prefix rows
-      // are never shared as source slots: duplicate destinations from
-      // different origins keep distinct rows and distinct edge lists.
-      std::unordered_map<NodeId, std::int64_t> local;
-      std::int64_t cursor = 0;
-      for (DeviceId o = 0; o < c; ++o) {
-        const DnpDstBatch& db = recv[static_cast<std::size_t>(g)][static_cast<std::size_t>(o)];
-        local.clear();
-        for (std::int64_t r = 0; r < db.size(); ++r, ++cursor) {
-          for (std::int64_t e = db.src_indptr[static_cast<std::size_t>(r)];
-               e < db.src_indptr[static_cast<std::size_t>(r) + 1]; ++e) {
-            const NodeId u = db.srcs[static_cast<std::size_t>(e)];
-            auto [it, inserted] = local.try_emplace(
-                u, static_cast<std::int64_t>(lb.src_nodes.size()));
-            if (inserted) lb.src_nodes.push_back(u);
-            lb.col.push_back(it->second);
-          }
-          lb.indptr.push_back(static_cast<std::int64_t>(lb.col.size()));
-        }
-      }
+      w.block = DnpOwnerBlock(recv[static_cast<std::size_t>(g)]);
+      const Block& lb = w.block;
       if (lb.num_dst == 0) continue;
 
       Tensor feats(lb.num_src(), d);
@@ -177,7 +108,7 @@ class DnpExecutor final : public StrategyExecutor {
       const Tensor logits = ctx_->model(o).ForwardFrom(1, blocks, raw0, &tape);
       Tensor grad_logits;
       const StepStats s =
-          SeedLossAndGrad(*ctx_, o, batch, logits, total_seeds, grad_logits);
+          SeedLossAndGrad(batch, logits, total_seeds, grad_logits);
       grad_raw0[static_cast<std::size_t>(o)] =
           ctx_->model(o).BackwardTo(1, blocks, tape, grad_logits);
       ChargeStepCompute(*ctx_, o, blocks, 1);

@@ -7,11 +7,13 @@
 
 namespace apt {
 
-std::vector<std::vector<NodeId>> AssignSeeds(const EngineCtx& ctx,
-                                             std::span<const NodeId> step_seeds) {
-  const auto c = static_cast<std::size_t>(ctx.num_devices());
+std::vector<std::vector<NodeId>> AssignSeeds(std::span<const NodeId> step_seeds,
+                                             SeedAssignment assignment,
+                                             std::span<const PartId> partition,
+                                             std::int32_t num_devices) {
+  const auto c = static_cast<std::size_t>(num_devices);
   std::vector<std::vector<NodeId>> out(c);
-  if (ctx.opts.seed_assignment == SeedAssignment::kChunked) {
+  if (assignment == SeedAssignment::kChunked) {
     const std::size_t n = step_seeds.size();
     const std::size_t chunk = (n + c - 1) / c;
     for (std::size_t d = 0; d < c; ++d) {
@@ -21,10 +23,43 @@ std::vector<std::vector<NodeId>> AssignSeeds(const EngineCtx& ctx,
     }
   } else {
     for (NodeId s : step_seeds) {
-      out[static_cast<std::size_t>(ctx.OwnerOf(s))].push_back(s);
+      out[static_cast<std::size_t>(partition[static_cast<std::size_t>(s)])].push_back(s);
     }
   }
   return out;
+}
+
+std::vector<std::vector<NodeId>> AssignSeeds(const EngineCtx& ctx,
+                                             std::span<const NodeId> step_seeds) {
+  return AssignSeeds(step_seeds, ctx.opts.seed_assignment, *ctx.partition,
+                     ctx.num_devices());
+}
+
+EpochSeedSchedule::EpochSeedSchedule(const MinibatchPlan& plan, SeedAssignment assignment,
+                                     std::span<const PartId> partition,
+                                     std::int64_t epoch)
+    : plan_(&plan), assignment_(assignment), partition_(partition) {
+  if (assignment_ == SeedAssignment::kPartition) {
+    queues_ = PerDeviceEpochQueues(plan.seeds(), partition, plan.num_devices(), epoch,
+                                   plan.seed());
+    steps_ = QueueStepsPerEpoch(queues_, plan.batch_size_per_device());
+  } else {
+    epoch_seeds_ = plan.EpochSeeds(epoch);
+    steps_ = plan.StepsPerEpoch();
+  }
+}
+
+std::vector<std::vector<NodeId>> EpochSeedSchedule::StepSeeds(std::int64_t step) const {
+  if (assignment_ == SeedAssignment::kPartition) {
+    std::vector<std::vector<NodeId>> per_device(queues_.size());
+    for (std::size_t d = 0; d < queues_.size(); ++d) {
+      const auto slice = QueueStepSlice(queues_[d], step, plan_->batch_size_per_device());
+      per_device[d].assign(slice.begin(), slice.end());
+    }
+    return per_device;
+  }
+  return AssignSeeds(plan_->StepSeeds(epoch_seeds_, step), assignment_, partition_,
+                     plan_->num_devices());
 }
 
 double SampleTreeEdges(const SampledBatch& batch) {
@@ -61,8 +96,8 @@ double SampleTreeEdges(const SampledBatch& batch) {
   return tree_edges;
 }
 
-double SampleSeconds(const EngineCtx& ctx, DeviceId dev, const SampledBatch& batch) {
-  const MachineSpec& m = ctx.sim->cluster().machine(ctx.sim->cluster().MachineOf(dev));
+double SampleSeconds(const ClusterSpec& cluster, DeviceId dev, const SampledBatch& batch) {
+  const MachineSpec& m = cluster.machine(cluster.MachineOf(dev));
   return SampleTreeEdges(batch) * m.cpu_sample_edge_s +
          static_cast<double>(batch.blocks.size()) * m.gpu.kernel_launch_s;
 }
@@ -82,17 +117,15 @@ std::vector<DeviceBatch> SampleDeviceBatches(
       batch.labels.push_back(ctx.dataset->labels[static_cast<std::size_t>(s)]);
     }
     ctx.sim->Advance(static_cast<DeviceId>(d),
-                     SampleSeconds(ctx, static_cast<DeviceId>(d), batch.sample),
+                     SampleSeconds(ctx.sim->cluster(), static_cast<DeviceId>(d),
+                                   batch.sample),
                      Phase::kSample);
   }
   return batches;
 }
 
-StepStats SeedLossAndGrad(EngineCtx& ctx, DeviceId dev, const DeviceBatch& batch,
-                          const Tensor& logits, std::int64_t total_seeds,
-                          Tensor& grad_logits) {
-  (void)ctx;
-  (void)dev;
+StepStats SeedLossAndGrad(const DeviceBatch& batch, const Tensor& logits,
+                          std::int64_t total_seeds, Tensor& grad_logits) {
   StepStats stats;
   stats.num_seeds = static_cast<std::int64_t>(batch.labels.size());
   if (stats.num_seeds == 0) {
@@ -140,16 +173,20 @@ void AllReduceGradients(EngineCtx& ctx) {
   }
 }
 
-void ChargeStepCompute(EngineCtx& ctx, DeviceId dev, std::span<const Block> blocks,
-                       int first_layer) {
-  GnnModel& model = ctx.model(dev);
+double StepFlops(const GnnModel& model, std::span<const Block> blocks, int first_layer) {
+  const int layers = std::min(model.num_layers(), static_cast<int>(blocks.size()));
   double flops = 0.0;
-  for (int k = first_layer; k < model.num_layers(); ++k) {
+  for (int k = first_layer; k < layers; ++k) {
     const Block& b = blocks[static_cast<std::size_t>(k)];
     flops += model.layer(k).ForwardFlops(b.num_src(), b.num_dst, b.num_edges()) +
              model.layer(k).BackwardFlops(b.num_src(), b.num_dst, b.num_edges());
   }
-  ctx.sim->ChargeCompute(dev, flops);
+  return flops;
+}
+
+void ChargeStepCompute(EngineCtx& ctx, DeviceId dev, std::span<const Block> blocks,
+                       int first_layer) {
+  ctx.sim->ChargeCompute(dev, StepFlops(ctx.model(dev), blocks, first_layer));
 }
 
 }  // namespace apt

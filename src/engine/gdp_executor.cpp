@@ -50,7 +50,7 @@ class GdpExecutor final : public StrategyExecutor {
       const Tensor logits = ctx_->model(dev).ForwardFrom(0, blocks, feats, &tape);
       Tensor grad_logits;
       const StepStats s =
-          SeedLossAndGrad(*ctx_, dev, batch, logits, total_seeds, grad_logits);
+          SeedLossAndGrad(batch, logits, total_seeds, grad_logits);
       if (quantized) {
         grad_raw0[static_cast<std::size_t>(dev)] =
             ctx_->model(dev).BackwardTo(1, blocks, tape, grad_logits);

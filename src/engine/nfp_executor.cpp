@@ -159,7 +159,7 @@ StepStats NfpExecutor::StepSage(std::vector<DeviceBatch>& batches) {
     ModelTape tape;
     const Tensor logits = ctx_->model(o).ForwardFrom(1, blocks, r0, &tape);
     Tensor grad_logits;
-    const StepStats s = SeedLossAndGrad(*ctx_, o, batch, logits, total_seeds, grad_logits);
+    const StepStats s = SeedLossAndGrad(batch, logits, total_seeds, grad_logits);
     grad_raw0[static_cast<std::size_t>(o)] =
         ctx_->model(o).BackwardTo(1, blocks, tape, grad_logits);
     Tensor gb(1, sage.out_dim());
@@ -283,7 +283,7 @@ StepStats NfpExecutor::StepGat(std::vector<DeviceBatch>& batches) {
     ModelTape tape;
     const Tensor logits = ctx_->model(o).ForwardFrom(1, blocks, raw0, &tape);
     Tensor grad_logits;
-    const StepStats s = SeedLossAndGrad(*ctx_, o, batch, logits, total_seeds, grad_logits);
+    const StepStats s = SeedLossAndGrad(batch, logits, total_seeds, grad_logits);
     const Tensor grad_raw0 = ctx_->model(o).BackwardTo(1, blocks, tape, grad_logits);
     grad_z[static_cast<std::size_t>(o)] =
         gat.AttentionBackward(b.csr(), b.num_dst, *attn_ctx, grad_raw0);

@@ -18,10 +18,9 @@
 // all-to-all, the owners' source gathers (kLoad) and the partial GroupReduce
 // ride the per-device comm stream and overlap with the projection compute of
 // the neighbouring micro-batches.
-#include <unordered_map>
-
 #include "engine/exec_common.h"
 #include "engine/executor.h"
+#include "engine/permute.h"
 #include "obs/trace.h"
 #include "tensor/ops.h"
 
@@ -29,37 +28,11 @@ namespace apt {
 
 namespace {
 
-/// Virtual-node batch shipped from origin o to source-owner g.
-struct SnpVirtualBatch {
-  std::vector<std::int64_t> dst_local;   ///< row in origin's layer-1 output
-  std::vector<std::int64_t> deg_total;   ///< destination's total sampled degree
-  std::vector<NodeId> self_node;         ///< kInvalidNode, or dst id if owner(d)==g
-  std::vector<std::int64_t> src_indptr;  ///< per virtual node (size n+1)
-  std::vector<NodeId> srcs;              ///< global source ids
-
-  std::int64_t size() const { return static_cast<std::int64_t>(dst_local.size()); }
-  std::int64_t bytes() const {
-    return static_cast<std::int64_t>(
-        dst_local.size() * 8 + deg_total.size() * 8 + self_node.size() * 8 +
-        src_indptr.size() * 8 + srcs.size() * 8);
-  }
-};
-
-/// Node-id request batch (SNP+GAT): origin asks owner for projected rows.
-struct SnpZRequest {
-  std::vector<NodeId> nodes;
-  std::int64_t bytes() const { return static_cast<std::int64_t>(nodes.size() * 8); }
-};
-
 class SnpExecutor final : public StrategyExecutor {
  public:
-  /// `machine_local` enables the HYBRID routing the paper's conclusion
-  /// proposes as future work: sources whose owner sits on ANOTHER machine
-  /// are processed by the requesting device itself (GDP-style), so no
-  /// hidden embedding ever crosses the inter-machine network; SNP routing
-  /// applies only between devices of the same machine.
-  SnpExecutor(EngineCtx& ctx, bool machine_local)
-      : StrategyExecutor(ctx), machine_local_(machine_local) {}
+  explicit SnpExecutor(EngineCtx& ctx)
+      : StrategyExecutor(ctx),
+        route_{*ctx.partition, &ctx.sim->cluster(), ctx.opts.hybrid_intra_machine} {}
 
   StepStats Step(std::vector<DeviceBatch>& batches) override {
     if (ctx_->model_kind() == ModelKind::kSage) return StepSage(batches);
@@ -67,18 +40,10 @@ class SnpExecutor final : public StrategyExecutor {
   }
 
  private:
-  /// The device that processes source node u of origin o's subgraph.
-  DeviceId RouteOwner(DeviceId origin, NodeId u) const {
-    const auto owner = static_cast<DeviceId>(ctx_->OwnerOf(u));
-    if (!machine_local_) return owner;
-    const ClusterSpec& cluster = ctx_->sim->cluster();
-    return cluster.MachineOf(owner) == cluster.MachineOf(origin) ? owner : origin;
-  }
-
   StepStats StepSage(std::vector<DeviceBatch>& batches);
   StepStats StepGat(std::vector<DeviceBatch>& batches);
 
-  bool machine_local_;
+  SnpRoute route_;
 };
 
 StepStats SnpExecutor::StepSage(std::vector<DeviceBatch>& batches) {
@@ -90,37 +55,7 @@ StepStats SnpExecutor::StepSage(std::vector<DeviceBatch>& batches) {
 
   // ---- Permute: split each origin's layer-1 graph by source owner. -------
   obs::StageSpan stage("permute", "snp");
-  std::vector<std::vector<SnpVirtualBatch>> sends(
-      static_cast<std::size_t>(c), std::vector<SnpVirtualBatch>(static_cast<std::size_t>(c)));
-  for (DeviceId o = 0; o < c; ++o) {
-    const Block& b = batches[static_cast<std::size_t>(o)].sample.blocks[0];
-    std::vector<std::vector<NodeId>> by_owner(static_cast<std::size_t>(c));
-    for (std::int64_t i = 0; i < b.num_dst; ++i) {
-      const std::int64_t deg = b.indptr[static_cast<std::size_t>(i) + 1] -
-                               b.indptr[static_cast<std::size_t>(i)];
-      for (auto& v : by_owner) v.clear();
-      for (std::int64_t e = b.indptr[static_cast<std::size_t>(i)];
-           e < b.indptr[static_cast<std::size_t>(i) + 1]; ++e) {
-        const NodeId u = b.src_nodes[static_cast<std::size_t>(
-            b.col[static_cast<std::size_t>(e)])];
-        by_owner[static_cast<std::size_t>(RouteOwner(o, u))].push_back(u);
-      }
-      const NodeId dst_global = b.src_nodes[static_cast<std::size_t>(i)];
-      const PartId self_owner = RouteOwner(o, dst_global);
-      for (DeviceId g = 0; g < c; ++g) {
-        const auto& srcs = by_owner[static_cast<std::size_t>(g)];
-        const bool self_here = g == self_owner;
-        if (srcs.empty() && !self_here) continue;
-        SnpVirtualBatch& vb = sends[static_cast<std::size_t>(o)][static_cast<std::size_t>(g)];
-        if (vb.src_indptr.empty()) vb.src_indptr.push_back(0);
-        vb.dst_local.push_back(i);
-        vb.deg_total.push_back(deg);
-        vb.self_node.push_back(self_here ? dst_global : kInvalidNode);
-        vb.srcs.insert(vb.srcs.end(), srcs.begin(), srcs.end());
-        vb.src_indptr.push_back(static_cast<std::int64_t>(vb.srcs.size()));
-      }
-    }
-  }
+  Routed<SnpVirtualBatch> sends = PermuteSnpSage(batches, route_);
 
   // ---- Shuffle: virtual-node batches to source owners. --------------------
   stage.Next("shuffle");
@@ -146,46 +81,19 @@ StepStats SnpExecutor::StepSage(std::vector<DeviceBatch>& batches) {
       partials.size(), std::vector<std::vector<std::int64_t>>(partials.size()));
   for (DeviceId g = 0; g < c; ++g) {
     auto& sage = dynamic_cast<SageLayer&>(ctx_->model(g).layer(0));
-    // One batched feature gather per device per step (DGL-style): collect
-    // the per-origin unique source lists plus owned-destination self rows,
-    // fetch all of them in a single store request, then slice per origin.
-    struct OriginView {
-      std::vector<std::int64_t> col;        ///< edge -> row in the batched gather
-      std::int64_t self_base = 0;           ///< first self row in the gather
-      std::vector<std::int64_t> self_rows;  ///< virtual rows with a self term
-    };
-    std::vector<OriginView> views(static_cast<std::size_t>(c));
-    std::vector<NodeId> gather_nodes;
-    for (DeviceId o = 0; o < c; ++o) {
-      const SnpVirtualBatch& vb = recv[static_cast<std::size_t>(g)][static_cast<std::size_t>(o)];
-      if (vb.size() == 0) continue;
-      OriginView& view = views[static_cast<std::size_t>(o)];
-      std::unordered_map<NodeId, std::int64_t> local;
-      local.reserve(vb.srcs.size() * 2);
-      view.col.resize(vb.srcs.size());
-      for (std::size_t i = 0; i < vb.srcs.size(); ++i) {
-        auto [it, inserted] = local.try_emplace(
-            vb.srcs[i], static_cast<std::int64_t>(gather_nodes.size()));
-        if (inserted) gather_nodes.push_back(vb.srcs[i]);
-        view.col[i] = it->second;
-      }
-      view.self_base = static_cast<std::int64_t>(gather_nodes.size());
-      for (std::int64_t r = 0; r < vb.size(); ++r) {
-        if (vb.self_node[static_cast<std::size_t>(r)] != kInvalidNode) {
-          view.self_rows.push_back(r);
-          gather_nodes.push_back(vb.self_node[static_cast<std::size_t>(r)]);
-        }
-      }
-    }
-    Tensor h_all(static_cast<std::int64_t>(gather_nodes.size()), d);
-    if (!gather_nodes.empty()) ctx_->store->Gather(g, gather_nodes, 0, d, h_all);
+    // One batched feature gather per device per step (DGL-style): the
+    // per-origin unique source lists plus owned-destination self rows in a
+    // single store request, then sliced per origin.
+    SnpSageGather gather = GatherSnpSage(recv[static_cast<std::size_t>(g)]);
+    Tensor h_all(static_cast<std::int64_t>(gather.nodes.size()), d);
+    if (!gather.nodes.empty()) ctx_->store->Gather(g, gather.nodes, 0, d, h_all);
 
     double flops = 0.0;
     std::int64_t transient = h_all.bytes();
     for (DeviceId o = 0; o < c; ++o) {
       const SnpVirtualBatch& vb = recv[static_cast<std::size_t>(g)][static_cast<std::size_t>(o)];
       if (vb.size() == 0) continue;
-      OriginView& view = views[static_cast<std::size_t>(o)];
+      SnpSageGather::OriginView& view = gather.views[static_cast<std::size_t>(o)];
       // Partial mean: sum local sources / total degree.
       Tensor aggd(vb.size(), d);
       const CsrView local_csr{vb.src_indptr, view.col};
@@ -247,7 +155,7 @@ StepStats SnpExecutor::StepSage(std::vector<DeviceBatch>& batches) {
     ModelTape tape;
     const Tensor logits = ctx_->model(o).ForwardFrom(1, blocks, r0, &tape);
     Tensor grad_logits;
-    const StepStats s = SeedLossAndGrad(*ctx_, o, batch, logits, total_seeds, grad_logits);
+    const StepStats s = SeedLossAndGrad(batch, logits, total_seeds, grad_logits);
     grad_raw0[static_cast<std::size_t>(o)] =
         ctx_->model(o).BackwardTo(1, blocks, tape, grad_logits);
     Tensor gb(1, sage.out_dim());
@@ -307,27 +215,15 @@ StepStats SnpExecutor::StepGat(std::vector<DeviceBatch>& batches) {
   StepStats agg;
   agg.num_seeds = total_seeds;
 
-  // ---- Permute: every layer-1 source node's z row is requested from its
-  // owner (dedup per (origin, owner) pair). ---------------------------------
+  // ---- Permute: every layer-1 source node's z row is requested from the
+  // device it routes to. -----------------------------------------------------
   obs::StageSpan stage("permute", "snp");
-  std::vector<std::vector<SnpZRequest>> requests(
-      static_cast<std::size_t>(c), std::vector<SnpZRequest>(static_cast<std::size_t>(c)));
+  SnpGatPermute perm = PermuteSnpGat(batches, route_);
   // For reassembly: position of each src node in the origin's z tensor.
-  std::vector<std::vector<std::vector<std::int64_t>>> positions(
-      static_cast<std::size_t>(c),
-      std::vector<std::vector<std::int64_t>>(static_cast<std::size_t>(c)));
-  for (DeviceId o = 0; o < c; ++o) {
-    const Block& b = batches[static_cast<std::size_t>(o)].sample.blocks[0];
-    for (std::int64_t i = 0; i < b.num_src(); ++i) {
-      const NodeId v = b.src_nodes[static_cast<std::size_t>(i)];
-      const auto g = static_cast<std::size_t>(RouteOwner(o, v));
-      requests[static_cast<std::size_t>(o)][g].nodes.push_back(v);
-      positions[static_cast<std::size_t>(o)][g].push_back(i);
-    }
-  }
+  const Routed<std::vector<std::int64_t>> positions = std::move(perm.positions);
   stage.Next("shuffle");
   auto recv_req = ctx_->comm->AllToAllObjects(
-      std::move(requests), [](const SnpZRequest& r) { return r.bytes(); },
+      std::move(perm.requests), [](const SnpZRequest& r) { return r.bytes(); },
       Phase::kSample);
 
   // ---- Execute at owners: load features, project, ship z rows. ------------
@@ -340,15 +236,9 @@ StepStats SnpExecutor::StepGat(std::vector<DeviceBatch>& batches) {
     auto& gat = dynamic_cast<GatLayer&>(ctx_->model(g).layer(0));
     // One batched gather per device per step; per-origin requests are
     // served as contiguous row ranges of the batched fetch.
-    std::vector<NodeId> gather_nodes;
-    std::vector<std::int64_t> base(static_cast<std::size_t>(c), 0);
-    for (DeviceId o = 0; o < c; ++o) {
-      base[static_cast<std::size_t>(o)] = static_cast<std::int64_t>(gather_nodes.size());
-      const auto& req = recv_req[static_cast<std::size_t>(g)][static_cast<std::size_t>(o)];
-      gather_nodes.insert(gather_nodes.end(), req.nodes.begin(), req.nodes.end());
-    }
-    Tensor h_all(static_cast<std::int64_t>(gather_nodes.size()), d);
-    if (!gather_nodes.empty()) ctx_->store->Gather(g, gather_nodes, 0, d, h_all);
+    const SnpGatGather gather = GatherSnpGat(recv_req[static_cast<std::size_t>(g)]);
+    Tensor h_all(static_cast<std::int64_t>(gather.nodes.size()), d);
+    if (!gather.nodes.empty()) ctx_->store->Gather(g, gather.nodes, 0, d, h_all);
 
     double flops = 0.0;
     std::int64_t transient = h_all.bytes();
@@ -357,7 +247,7 @@ StepStats SnpExecutor::StepGat(std::vector<DeviceBatch>& batches) {
       if (req.nodes.empty()) continue;
       const auto n = static_cast<std::int64_t>(req.nodes.size());
       Tensor h(n, d);
-      std::copy_n(h_all.row(base[static_cast<std::size_t>(o)]), n * d, h.data());
+      std::copy_n(h_all.row(gather.base[static_cast<std::size_t>(o)]), n * d, h.data());
       Tensor z = gat.Project(h);
       flops += 2.0 * static_cast<double>(n) * d * gat.out_dim();
       transient += h.bytes() + z.bytes();
@@ -391,7 +281,7 @@ StepStats SnpExecutor::StepGat(std::vector<DeviceBatch>& batches) {
     ModelTape tape;
     const Tensor logits = ctx_->model(o).ForwardFrom(1, blocks, raw0, &tape);
     Tensor grad_logits;
-    const StepStats s = SeedLossAndGrad(*ctx_, o, batch, logits, total_seeds, grad_logits);
+    const StepStats s = SeedLossAndGrad(batch, logits, total_seeds, grad_logits);
     const Tensor grad_raw0 = ctx_->model(o).BackwardTo(1, blocks, tape, grad_logits);
     grad_z_full[static_cast<std::size_t>(o)] =
         gat.AttentionBackward(b.csr(), b.num_dst, *attn_ctx, grad_raw0);
@@ -437,7 +327,7 @@ StepStats SnpExecutor::StepGat(std::vector<DeviceBatch>& batches) {
 }  // namespace
 
 std::unique_ptr<StrategyExecutor> MakeSnpExecutor(EngineCtx& ctx) {
-  return std::make_unique<SnpExecutor>(ctx, ctx.opts.hybrid_intra_machine);
+  return std::make_unique<SnpExecutor>(ctx);
 }
 
 }  // namespace apt

@@ -143,26 +143,12 @@ EpochStats ParallelTrainer::TrainEpoch(std::int64_t epoch) {
   const double comm0_train = sim_->CommMax(Phase::kTrain);
   const double comparable0 = ComparableNow(*sim_, setup_.engine.pipeline_depth);
 
-  // Seed scheduling. Chunked mode slices a globally shuffled order; the
-  // partition mode gives each device its own partition-local queue
-  // (DistDGL-style), so every step is balanced at batch_size per device.
-  const bool partitioned =
-      setup_.engine.seed_assignment == SeedAssignment::kPartition;
-  const std::vector<NodeId> epoch_seeds =
-      partitioned ? std::vector<NodeId>{} : plan_->EpochSeeds(epoch);
-  const std::vector<std::vector<NodeId>> queues =
-      partitioned ? PerDeviceEpochQueues(dataset_->train_nodes, setup_.partition,
-                                         sim_->num_devices(), epoch,
-                                         setup_.minibatch_seed)
-                  : std::vector<std::vector<NodeId>>{};
-  const std::int64_t full_steps =
-      partitioned
-          ? QueueStepsPerEpoch(queues, setup_.engine.batch_size_per_device)
-          : plan_->StepsPerEpoch();
+  const EpochSeedSchedule schedule(*plan_, setup_.engine.seed_assignment,
+                                   setup_.partition, epoch);
   const std::int64_t steps =
       setup_.engine.max_steps_per_epoch > 0
-          ? std::min(full_steps, setup_.engine.max_steps_per_epoch)
-          : full_steps;
+          ? std::min(schedule.steps(), setup_.engine.max_steps_per_epoch)
+          : schedule.steps();
   // Scale mode: execute one step in `period` for real (a probe), advance the
   // rest by replaying the probe's step tape through the clocks. Probes
   // consume SEQUENTIAL minibatch indices (sched_step below), so probe j is
@@ -207,21 +193,8 @@ EpochStats ParallelTrainer::TrainEpoch(std::int64_t epoch) {
     // Fast-forwarded steps replay the probe's tape; only probes sample.
     const bool probe = !scale || tape.empty() || (step % period == 0);
     const std::int64_t sched_step = scale ? probe_index : step;
-    std::vector<std::vector<NodeId>> per_device;
-    if (probe) {
-      if (partitioned) {
-        per_device.resize(queues.size());
-        for (std::size_t d = 0; d < queues.size(); ++d) {
-          const auto slice = QueueStepSlice(queues[d], sched_step,
-                                            setup_.engine.batch_size_per_device);
-          per_device[d].assign(slice.begin(), slice.end());
-        }
-      } else {
-        const std::vector<NodeId> step_seeds =
-            plan_->StepSeeds(epoch_seeds, sched_step);
-        per_device = AssignSeeds(ctx_, step_seeds);
-      }
-    }
+    const std::vector<std::vector<NodeId>> per_device =
+        probe ? schedule.StepSeeds(sched_step) : std::vector<std::vector<NodeId>>{};
     const RecoveryOptions& rec = setup_.engine.recovery;
     const double step_wall0 = sim_->MaxNow();
     StepStats s;

@@ -4,12 +4,31 @@
 #include <cstdlib>
 #include <exception>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "core/error.h"
 #include "obs/trace.h"
 
 namespace apt {
 
 namespace {
+
+// Every training and serving step allocates and frees tensors of a few MB
+// (gathered features, activations, gradients, collective payloads). By
+// default glibc serves each block of 128 KB or more with its own mmap and
+// returns freed heap to the OS, so every step faults those pages in again.
+// Blocks below 32 MB (glibc's largest mmap threshold) stay on the heap, and
+// freed heap below 1 GB stays mapped, so a step reuses the previous step's
+// pages.
+[[maybe_unused]] const bool kStepBuffersStayOnHeap = [] {
+#if defined(__GLIBC__)
+  mallopt(M_MMAP_THRESHOLD, 32 << 20);
+  mallopt(M_TRIM_THRESHOLD, 1 << 30);
+#endif
+  return true;
+}();
 
 // Threads inside a ForkJoin chunk, and pool workers in general, must not
 // fork again: the pool has exactly one region slot, so nesting runs serially.

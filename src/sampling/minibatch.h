@@ -52,6 +52,8 @@ class MinibatchPlan {
   std::int64_t batch_size_per_device() const { return batch_size_; }
   std::int32_t num_devices() const { return num_devices_; }
   std::int64_t num_seeds() const { return static_cast<std::int64_t>(seeds_.size()); }
+  std::span<const NodeId> seeds() const { return seeds_; }
+  std::uint64_t seed() const { return seed_; }
 
  private:
   std::vector<NodeId> seeds_;

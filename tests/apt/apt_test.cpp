@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "apt/apt_system.h"
+#include "obs/metrics.h"
 #include "test_util.h"
 
 namespace apt {
@@ -94,19 +95,87 @@ TEST(DryRunTest, SnpSeesFewerCpuReadsThanGdpWithCache) {
 }
 
 TEST(DryRunTest, Layer0OutDimRules) {
+  // The dry-run sizes the layer-0 shuffles from the model's own first layer.
   ModelConfig m;
   m.kind = ModelKind::kSage;
   m.num_layers = 3;
   m.hidden_dim = 32;
+  m.input_dim = 16;
   m.num_classes = 10;
-  EXPECT_EQ(Layer0OutDim(m), 32);
+  EXPECT_EQ(GnnModel(m).layer(0).out_dim(), 32);
   m.num_layers = 1;
-  EXPECT_EQ(Layer0OutDim(m), 10);
+  EXPECT_EQ(GnnModel(m).layer(0).out_dim(), 10);
   m.kind = ModelKind::kGat;
   m.num_layers = 3;
   m.gat_heads = 4;
   m.hidden_dim = 8;
-  EXPECT_EQ(Layer0OutDim(m), 32);
+  EXPECT_EQ(GnnModel(m).layer(0).out_dim(), 32);
+}
+
+std::int64_t Counter(const std::string& name) {
+  return obs::Metrics::Global().counter(name).Get();
+}
+
+TEST(DryRunTest, VolumesEqualExecutedEpoch) {
+  // DESIGN.md invariant 2: every byte the cost model predicts is a byte the
+  // executors move. One trained epoch under the dry-run's minibatch seed
+  // must gather exactly the rows the dry-run counted, per tier, and (SNP,
+  // DNP) put exactly the predicted graph + hidden shuffle bytes on the
+  // all-to-all. The last configuration adds hybrid SNP routing.
+  struct Config {
+    ClusterSpec cluster;
+    bool hybrid;
+  };
+  const std::vector<Config> configs = {{SingleMachineCluster(4), false},
+                                       {MultiMachineCluster(2, 2), false},
+                                       {MultiMachineCluster(2, 2), true}};
+  constexpr std::uint64_t kDryRunMinibatchSeed = 1234;
+  for (ModelKind kind : {ModelKind::kSage, ModelKind::kGat}) {
+    for (const Config& config : configs) {
+      PlanFixture f;
+      f.cluster = config.cluster;
+      f.opts.hybrid_intra_machine = config.hybrid;
+      f.model.kind = kind;
+      f.model.gat_heads = 2;
+      const DryRunResult dry = DryRun(f.ds, f.cluster, f.partition, f.opts, f.model);
+      for (Strategy s : kAllStrategies) {
+        const std::string where = std::string(ToString(s)) + " " +
+                                  (kind == ModelKind::kSage ? "SAGE" : "GAT") + " " +
+                                  std::to_string(f.cluster.num_machines()) + "x" +
+                                  std::to_string(f.cluster.num_devices()) +
+                                  (config.hybrid ? " hybrid" : "");
+        TrainerSetup setup =
+            BuildTrainerSetup(f.cluster, f.model, f.opts, f.partition, dry, s);
+        setup.minibatch_seed = kDryRunMinibatchSeed;
+        ParallelTrainer trainer(f.ds, std::move(setup));
+        std::array<std::int64_t, kNumFeatureTiers> rows0{}, bytes0{};
+        for (int t = 0; t < kNumFeatureTiers; ++t) {
+          const std::string tier = ToString(static_cast<FeatureTier>(t));
+          rows0[static_cast<std::size_t>(t)] = Counter("feature.rows." + tier);
+          bytes0[static_cast<std::size_t>(t)] = Counter("feature.bytes." + tier);
+        }
+        const std::int64_t alltoall0 = Counter("comm.alltoall.bytes");
+        trainer.TrainEpoch(0);
+
+        const StrategyDryRun& st = dry.per_strategy[static_cast<std::size_t>(s)];
+        LoadVolume predicted;
+        for (const LoadVolume& v : st.load) predicted.Add(v);
+        for (int t = 0; t < kNumFeatureTiers; ++t) {
+          const auto ti = static_cast<std::size_t>(t);
+          const std::string tier = ToString(static_cast<FeatureTier>(t));
+          EXPECT_EQ(predicted.rows[ti], Counter("feature.rows." + tier) - rows0[ti])
+              << where << " " << tier;
+          EXPECT_EQ(predicted.bytes[ti], Counter("feature.bytes." + tier) - bytes0[ti])
+              << where << " " << tier;
+        }
+        if (s == Strategy::kSNP || s == Strategy::kDNP) {
+          EXPECT_EQ(st.graph_shuffle_bytes + st.shuffle_bytes,
+                    Counter("comm.alltoall.bytes") - alltoall0)
+              << where;
+        }
+      }
+    }
+  }
 }
 
 TEST(CostModelTest, EstimatesComposeLinearly) {
