@@ -1,5 +1,6 @@
 // google-benchmark microbenchmarks for the system layers: the multilevel
-// partitioner, the simulated collectives, and the dry-run planner itself
+// partitioner, the simulated collectives, the neighbour sampler, and the
+// dry-run planner itself
 // (the paper's "strategy selection must be fast" requirement). Each run
 // also lands as a JSON record in BENCH_micro_system.json (see bench_gbench.h).
 #include <benchmark/benchmark.h>
@@ -14,6 +15,7 @@
 #include "obs/histogram.h"
 #include "obs/telemetry.h"
 #include "partition/partitioner.h"
+#include "sampling/neighbor_sampler.h"
 
 namespace apt {
 namespace {
@@ -108,6 +110,51 @@ void BM_DryRunPlanner(benchmark::State& state) {
       plan.estimates[static_cast<std::size_t>(plan.selected)].Comparable();
 }
 BENCHMARK(BM_DryRunPlanner)->Unit(benchmark::kMillisecond);
+
+// --- neighbour sampling ----------------------------------------------------
+
+/// The sampler alone on the PS-like graph that the serve-ps benchmark
+/// serves: a 128-seed [10,10,10] training batch (/batch128) or a one-seed
+/// [10,10] serving request (/request). Each iteration samples the next of
+/// 64 fixed seed sets. The sim_* counters total one pass over the 64 sets
+/// with a fixed RNG, so they depend on the sampler's output only and gate
+/// like simulated metrics.
+void BM_NeighborSample(benchmark::State& state, std::int64_t batch,
+                       std::vector<int> fanouts) {
+  static const Dataset ds = MakeDataset(PsLikeParams(0.25));
+  const NeighborSampler sampler(ds.graph, std::move(fanouts));
+  std::vector<std::vector<NodeId>> seed_sets(64);
+  Rng seed_rng(7);
+  for (auto& seeds : seed_sets) {
+    seeds.resize(static_cast<std::size_t>(batch));
+    for (NodeId& v : seeds) {
+      v = static_cast<NodeId>(
+          seed_rng.NextBelow(static_cast<std::uint64_t>(ds.graph.num_nodes())));
+    }
+  }
+  Rng rng(11);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const SampledBatch sample = sampler.Sample(seed_sets[next], rng);
+    benchmark::DoNotOptimize(sample.blocks.data());
+    next = (next + 1) % seed_sets.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+  Rng ref_rng(11);
+  std::int64_t edges = 0, src_nodes = 0;
+  for (const auto& seeds : seed_sets) {
+    for (const Block& b : sampler.Sample(seeds, ref_rng).blocks) {
+      edges += b.num_edges();
+      src_nodes += b.num_src();
+    }
+  }
+  state.counters["sim_sampled_edges"] = static_cast<double>(edges);
+  state.counters["sim_sampled_src_nodes"] = static_cast<double>(src_nodes);
+}
+BENCHMARK_CAPTURE(BM_NeighborSample, batch128, 128, std::vector<int>{10, 10, 10})
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_NeighborSample, request, 1, std::vector<int>{10, 10})
+    ->Unit(benchmark::kMicrosecond);
 
 // --- telemetry overhead ----------------------------------------------------
 

@@ -1,6 +1,6 @@
 #include "engine/permute.h"
 
-#include <unordered_map>
+#include "core/node_table.h"
 
 namespace apt {
 
@@ -56,19 +56,18 @@ Routed<SnpVirtualBatch> PermuteSnpSage(std::span<const DeviceBatch> batches,
 SnpSageGather GatherSnpSage(std::span<const SnpVirtualBatch> arrivals) {
   SnpSageGather gather;
   gather.views.resize(arrivals.size());
+  NodeTable local;
   for (std::size_t o = 0; o < arrivals.size(); ++o) {
     const SnpVirtualBatch& vb = arrivals[o];
     if (vb.size() == 0) continue;
     SnpSageGather::OriginView& view = gather.views[o];
     // Sources are deduplicated within each origin's batch only.
-    std::unordered_map<NodeId, std::int64_t> local;
-    local.reserve(vb.srcs.size() * 2);
+    local.Reset(static_cast<std::int64_t>(vb.srcs.size()));
     view.col.resize(vb.srcs.size());
     for (std::size_t i = 0; i < vb.srcs.size(); ++i) {
-      auto [it, inserted] = local.try_emplace(
-          vb.srcs[i], static_cast<std::int64_t>(gather.nodes.size()));
-      if (inserted) gather.nodes.push_back(vb.srcs[i]);
-      view.col[i] = it->second;
+      const auto next = static_cast<std::int64_t>(gather.nodes.size());
+      view.col[i] = local.FindOrInsert(vb.srcs[i], next);
+      if (view.col[i] == next) gather.nodes.push_back(vb.srcs[i]);
     }
     view.self_base = static_cast<std::int64_t>(gather.nodes.size());
     for (std::int64_t r = 0; r < vb.size(); ++r) {
@@ -149,17 +148,17 @@ Block DnpOwnerBlock(std::span<const DnpDstBatch> arrivals) {
   // per arriving batch). Destination prefix rows are never shared as source
   // slots: duplicate destinations from different origins keep distinct rows
   // and distinct edge lists.
-  std::unordered_map<NodeId, std::int64_t> local;
+  NodeTable local;
   for (const DnpDstBatch& db : arrivals) {
-    local.clear();
+    local.Reset(static_cast<std::int64_t>(db.srcs.size()));
     for (std::int64_t r = 0; r < db.size(); ++r) {
       for (std::int64_t e = db.src_indptr[static_cast<std::size_t>(r)];
            e < db.src_indptr[static_cast<std::size_t>(r) + 1]; ++e) {
         const NodeId u = db.srcs[static_cast<std::size_t>(e)];
-        auto [it, inserted] =
-            local.try_emplace(u, static_cast<std::int64_t>(lb.src_nodes.size()));
-        if (inserted) lb.src_nodes.push_back(u);
-        lb.col.push_back(it->second);
+        const auto next = static_cast<std::int64_t>(lb.src_nodes.size());
+        const std::int64_t id = local.FindOrInsert(u, next);
+        if (id == next) lb.src_nodes.push_back(u);
+        lb.col.push_back(id);
       }
       lb.indptr.push_back(static_cast<std::int64_t>(lb.col.size()));
     }

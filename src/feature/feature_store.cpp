@@ -72,7 +72,7 @@ FeatureStore::FeatureStore(const Tensor& features, std::vector<MachineId> node_m
                            SimContext& ctx)
     : features_(&features), node_machine_(std::move(node_machine)), ctx_(&ctx) {
   APT_CHECK_EQ(static_cast<std::int64_t>(node_machine_.size()), features.rows());
-  cache_sorted_.assign(static_cast<std::size_t>(ctx.num_devices()), {});
+  cache_members_.resize(static_cast<std::size_t>(ctx.num_devices()));
 }
 
 FeatureStore::FeatureStore(NodeId num_nodes, std::int64_t feature_dim,
@@ -88,7 +88,7 @@ FeatureStore::FeatureStore(NodeId num_nodes, std::int64_t feature_dim,
   APT_CHECK_GT(num_nodes, 0);
   APT_CHECK_GT(feature_dim, 0);
   APT_CHECK_EQ(static_cast<NodeId>(node_machine_.size()), num_nodes);
-  cache_sorted_.assign(static_cast<std::size_t>(ctx.num_devices()), {});
+  cache_members_.resize(static_cast<std::size_t>(ctx.num_devices()));
 }
 
 void FeatureStore::SetStorageCodec(Codec codec, bool materialize) {
@@ -107,17 +107,16 @@ void FeatureStore::SetStorageCodec(Codec codec, bool materialize) {
 
 void FeatureStore::ConfigureCaches(const std::vector<std::vector<NodeId>>& cache_nodes,
                                    std::int64_t bytes_per_cached_row) {
-  APT_CHECK_EQ(cache_nodes.size(), cache_sorted_.size());
+  APT_CHECK_EQ(cache_nodes.size(), cache_members_.size());
   for (std::size_t d = 0; d < cache_nodes.size(); ++d) {
-    std::vector<NodeId> sorted = cache_nodes[d];
-    for (NodeId v : sorted) {
-      APT_CHECK(v >= 0 && v < num_nodes()) << "cache node " << v;
+    const std::vector<NodeId>& nodes = cache_nodes[d];
+    NodeTable& members = cache_members_[d];
+    members.Reset(static_cast<std::int64_t>(nodes.size()));
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      APT_CHECK(nodes[i] >= 0 && nodes[i] < num_nodes()) << "cache node " << nodes[i];
+      members.FindOrInsert(nodes[i], static_cast<std::int64_t>(i));
     }
-    std::sort(sorted.begin(), sorted.end());
-    sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-    cache_sorted_[d] = std::move(sorted);
-    // Footprint stays the CALLER's row count (duplicates included) — same
-    // memory accounting as before the sorted-membership representation.
+    // Footprint is the CALLER's row count, duplicates included.
     ctx_->AllocPersistent(static_cast<DeviceId>(d),
                           static_cast<std::int64_t>(cache_nodes[d].size()) *
                               bytes_per_cached_row);

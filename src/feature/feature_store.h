@@ -6,12 +6,12 @@
 // remote CPU — with real row copies plus simulated transfer time per tier.
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "core/node_table.h"
 #include "core/types.h"
 #include "sim/sim_context.h"
 #include "tensor/codec.h"
@@ -126,12 +126,11 @@ class FeatureStore {
   /// per non-empty tier; bandwidth from the cluster link model).
   double LoadSeconds(DeviceId dev, const LoadVolume& volume) const;
 
-  /// True if dev's cache holds v. Membership is a binary search over the
-  /// device's sorted cached-node list: O(nodes) memory per device instead of
-  /// the O(num_nodes) bitmap a 100M-node procedural graph cannot afford.
+  /// True if dev's cache holds v: one probe of the device's NodeTable of
+  /// cached nodes. O(cached rows) memory per device instead of the
+  /// O(num_nodes) bitmap a 100M-node procedural graph cannot afford.
   bool Cached(DeviceId dev, NodeId v) const {
-    const auto& nodes = cache_sorted_[static_cast<std::size_t>(dev)];
-    return std::binary_search(nodes.begin(), nodes.end(), v);
+    return cache_members_[static_cast<std::size_t>(dev)].Contains(v);
   }
 
   FeatureTier Classify(DeviceId dev, NodeId v) const;
@@ -156,7 +155,7 @@ class FeatureStore {
   SimContext* ctx_;
   Codec storage_codec_ = Codec::kIdentity;
   Tensor rounded_;  ///< codec-rounded copy (empty when identity/unmaterialized)
-  std::vector<std::vector<NodeId>> cache_sorted_;  ///< per device, sorted+deduped
+  std::vector<NodeTable> cache_members_;  ///< per device: the cached node set
   bool procedural_ = false;
   NodeId procedural_nodes_ = 0;
   std::int64_t procedural_dim_ = 0;

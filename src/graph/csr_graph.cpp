@@ -13,6 +13,14 @@ CsrGraph::CsrGraph(std::vector<EdgeId> indptr, std::vector<NodeId> indices)
   for (std::size_t i = 1; i < indptr_.size(); ++i) {
     APT_CHECK_GE(indptr_[i], indptr_[i - 1]);
   }
+  // Node ids index feature rows and partition arrays, and -1 is the empty
+  // key of NodeTable: every neighbor must name a node of this graph.
+  const NodeId n = num_nodes();
+  const auto bad = std::find_if(indices_.begin(), indices_.end(),
+                                [n](NodeId u) { return u < 0 || u >= n; });
+  APT_CHECK(bad == indices_.end())
+      << "neighbor " << *bad << " at edge " << (bad - indices_.begin())
+      << " outside [0, " << n << ")";
 }
 
 CsrGraph BuildCsr(NodeId num_nodes, std::span<const NodeId> src,

@@ -105,13 +105,22 @@ Dataset LoadDataset(const std::string& path) {
 
   ds.num_classes = ReadScalar<std::int64_t>(in);
   ds.num_communities = ReadScalar<std::int32_t>(in);
+  APT_CHECK_GT(ds.num_classes, 0) << "implausible class count";
   ds.labels = ReadVector<std::int64_t>(in, kMax);
   APT_CHECK_EQ(static_cast<NodeId>(ds.labels.size()), ds.graph.num_nodes());
+  for (std::size_t v = 0; v < ds.labels.size(); ++v) {
+    APT_CHECK(ds.labels[v] >= 0 && ds.labels[v] < ds.num_classes)
+        << "label " << ds.labels[v] << " of node " << v << " outside [0, "
+        << ds.num_classes << ")";
+  }
   ds.train_nodes = ReadVector<NodeId>(in, kMax);
   ds.val_nodes = ReadVector<NodeId>(in, kMax);
   ds.test_nodes = ReadVector<NodeId>(in, kMax);
-  for (NodeId v : ds.train_nodes) {
-    APT_CHECK(v >= 0 && v < ds.graph.num_nodes()) << "train node out of range";
+  for (const auto* split : {&ds.train_nodes, &ds.val_nodes, &ds.test_nodes}) {
+    for (NodeId v : *split) {
+      APT_CHECK(v >= 0 && v < ds.graph.num_nodes()) << "split node " << v
+                                                     << " out of range";
+    }
   }
   return ds;
 }

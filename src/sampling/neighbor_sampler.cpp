@@ -1,9 +1,9 @@
 #include "sampling/neighbor_sampler.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "core/error.h"
+#include "core/node_table.h"
 
 namespace apt {
 
@@ -15,25 +15,44 @@ NeighborSampler::NeighborSampler(const CsrGraph& graph, std::vector<int> fanouts
 
 Block NeighborSampler::SampleLayer(std::span<const NodeId> dst, int fanout,
                                    Rng& rng) const {
+  // Exact edge count first: it sizes `col` and bounds the distinct sources,
+  // so the table and every array are O(sample), never O(graph).
+  std::int64_t num_edges = 0;
+  for (NodeId v : dst) {
+    num_edges += std::min<std::int64_t>(
+        static_cast<std::int64_t>(graph_.Neighbors(v).size()), fanout);
+  }
+  const auto num_dst = static_cast<std::int64_t>(dst.size());
+  const std::int64_t max_src = std::min(num_dst + num_edges, graph_.num_nodes());
+
   Block block;
-  block.num_dst = static_cast<std::int64_t>(dst.size());
+  block.num_dst = num_dst;
+  block.src_nodes.reserve(static_cast<std::size_t>(max_src));
   block.src_nodes.assign(dst.begin(), dst.end());
   block.indptr.reserve(dst.size() + 1);
   block.indptr.push_back(0);
+  block.col.reserve(static_cast<std::size_t>(num_edges));
 
-  // Local id assignment: dst nodes occupy the prefix; new sources appended.
-  std::unordered_map<NodeId, std::int64_t> local;
-  local.reserve(dst.size() * 2);
-  for (std::size_t i = 0; i < dst.size(); ++i) {
-    local.emplace(dst[i], static_cast<std::int64_t>(i));
+  // Per-thread scratch: the sampler stays const and shareable (serving
+  // samples from concurrent workers), and each thread reuses its own table
+  // and reservoir.
+  thread_local NodeTable local;
+  thread_local std::vector<NodeId> reservoir;
+
+  // Local id assignment: dst nodes occupy the prefix; new sources appended
+  // in first-seen order.
+  local.Reset(max_src);
+  for (std::int64_t i = 0; i < num_dst; ++i) {
+    local.FindOrInsert(dst[static_cast<std::size_t>(i)], i);
   }
-  auto local_id = [&](NodeId v) {
-    auto [it, inserted] = local.try_emplace(v, block.num_src());
-    if (inserted) block.src_nodes.push_back(v);
-    return it->second;
+  auto local_id = [&](NodeId u) {
+    const std::int64_t next = block.num_src();
+    const std::int64_t id = local.FindOrInsert(u, next);
+    if (id == next) block.src_nodes.push_back(u);
+    return id;
   };
 
-  std::vector<NodeId> reservoir(static_cast<std::size_t>(fanout));
+  reservoir.resize(static_cast<std::size_t>(fanout));
   for (NodeId v : dst) {
     const auto nbrs = graph_.Neighbors(v);
     const auto deg = static_cast<std::int64_t>(nbrs.size());
@@ -41,9 +60,7 @@ Block NeighborSampler::SampleLayer(std::span<const NodeId> dst, int fanout,
       for (NodeId u : nbrs) block.col.push_back(local_id(u));
     } else {
       // Reservoir sampling: `fanout` distinct neighbors, uniform w/o replacement.
-      for (std::int64_t i = 0; i < fanout; ++i) {
-        reservoir[static_cast<std::size_t>(i)] = nbrs[static_cast<std::size_t>(i)];
-      }
+      std::copy_n(nbrs.begin(), fanout, reservoir.begin());
       for (std::int64_t i = fanout; i < deg; ++i) {
         const auto j =
             static_cast<std::int64_t>(rng.NextBelow(static_cast<std::uint64_t>(i + 1)));
@@ -66,11 +83,11 @@ SampledBatch NeighborSampler::Sample(std::span<const NodeId> seeds, Rng& rng) co
   // Sample outward from the seeds; each hop's source set becomes the next
   // hop's destination frontier. Results are stored innermost-first.
   std::vector<Block> outward;
-  std::vector<NodeId> frontier(seeds.begin(), seeds.end());
+  outward.reserve(fanouts_.size());
   for (int f : fanouts_) {
-    Block b = SampleLayer(frontier, f, rng);
-    frontier = b.src_nodes;  // includes dst prefix + new neighbors
-    outward.push_back(std::move(b));
+    const std::span<const NodeId> frontier =
+        outward.empty() ? seeds : std::span<const NodeId>(outward.back().src_nodes);
+    outward.push_back(SampleLayer(frontier, f, rng));
   }
   // blocks[0] must be the layer furthest from the seeds.
   batch.blocks.assign(std::make_move_iterator(outward.rbegin()),

@@ -2,7 +2,9 @@
 //
 // Layer k of sampling draws up to fanout[k] distinct neighbors for each
 // frontier node; the resulting Block stack is consumed innermost-first by
-// the execution engine. Deterministic given the Rng.
+// the execution engine. Deterministic given the Rng. Sample is const and
+// safe to call from several threads at once: each thread de-duplicates on
+// its own scratch NodeTable.
 #pragma once
 
 #include <cstdint>

@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "core/error.h"
+#include "core/node_table.h"
 #include "core/random.h"
 #include "core/timer.h"
 #include "core/types.h"
@@ -100,6 +102,45 @@ TEST(StrategyTest, RoundTripNames) {
   EXPECT_EQ(StrategyFromString("gdp"), Strategy::kGDP);
   EXPECT_EQ(StrategyFromString("dnp"), Strategy::kDNP);
   EXPECT_THROW(StrategyFromString("bogus"), Error);
+}
+
+TEST(NodeTableTest, HandsOutFirstSeenIds) {
+  NodeTable t;
+  EXPECT_FALSE(t.Contains(0));  // a default table is empty
+  t.Reset(5);
+  std::vector<NodeId> order;
+  for (NodeId v : {40, 7, 40, 0, 7, 123456789}) {
+    const auto next = static_cast<std::int64_t>(order.size());
+    if (t.FindOrInsert(v, next) == next) order.push_back(v);
+  }
+  EXPECT_EQ(order, (std::vector<NodeId>{40, 7, 0, 123456789}));
+  EXPECT_EQ(t.FindOrInsert(7, 99), 1);
+  EXPECT_TRUE(t.Contains(123456789));
+  EXPECT_FALSE(t.Contains(8));
+}
+
+TEST(NodeTableTest, ResetForgetsEveryKey) {
+  // A large use, then a small one in the same storage: nothing of the
+  // first survives, whichever slots the small capacity maps it to.
+  NodeTable t;
+  t.Reset(1000);
+  for (NodeId v = 0; v < 1000; ++v) t.FindOrInsert(v * 3, v);
+  t.Reset(2);
+  for (NodeId v = 0; v < 3000; ++v) EXPECT_FALSE(t.Contains(v)) << v;
+  EXPECT_EQ(t.FindOrInsert(9, 0), 0);
+  EXPECT_EQ(t.FindOrInsert(3, 1), 1);
+  t.Reset(0);
+  EXPECT_FALSE(t.Contains(9));
+}
+
+TEST(NodeTableTest, RejectsMoreKeysThanSized) {
+  NodeTable t;
+  t.Reset(2);
+  t.FindOrInsert(1, 0);
+  t.FindOrInsert(2, 1);
+  EXPECT_EQ(t.FindOrInsert(2, 5), 1);  // a found key is not an insert
+  EXPECT_THROW(t.FindOrInsert(3, 2), Error);
+  EXPECT_THROW(t.Reset(-1), Error);
 }
 
 TEST(WallTimerTest, MeasuresNonNegative) {

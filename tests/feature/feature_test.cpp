@@ -2,6 +2,7 @@
 // correctness, time charging, and the per-strategy cache rules of §3.2.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "feature/cache_policy.h"
@@ -125,6 +126,111 @@ TEST(FeatureStoreTest, CacheRegistersMemory) {
   store.ConfigureCaches({{0, 1, 2}, {5}}, 100);
   EXPECT_EQ(sim.PeakMemory(0), 300);
   EXPECT_EQ(sim.PeakMemory(1), 100);
+}
+
+// --- tier classification against a brute-force reference -------------------
+
+struct TierCase {
+  std::int32_t machines;
+  bool nvlink;
+};
+
+class FeatureTierTest : public ::testing::TestWithParam<TierCase> {};
+
+TEST_P(FeatureTierTest, MatchesBruteForceReference) {
+  const auto [machines, nvlink] = GetParam();
+  const ClusterSpec cluster = MultiMachineCluster(machines, 4, nvlink);
+  SimContext sim(cluster);
+  constexpr NodeId kNodes = 300;
+  const Tensor feats = MakeFeatures(kNodes, 2);
+  std::vector<MachineId> placement(kNodes);
+  for (NodeId v = 0; v < kNodes; ++v) {
+    placement[static_cast<std::size_t>(v)] = static_cast<MachineId>((v * 7) % machines);
+  }
+  FeatureStore store(feats, placement, sim);
+  const auto devices = static_cast<std::size_t>(cluster.num_devices());
+  Rng rng(static_cast<std::uint64_t>(machines * 10 + (nvlink ? 1 : 0)));
+
+  // Random lists with duplicates; device 1 stays empty; the id-range ends
+  // (0 and kNodes - 1) are cached somewhere.
+  auto random_lists = [&] {
+    std::vector<std::vector<NodeId>> lists(devices);
+    for (std::size_t d = 0; d < devices; ++d) {
+      if (d == 1) continue;
+      const auto len = static_cast<std::size_t>(rng.NextBelow(120));
+      for (std::size_t i = 0; i < len; ++i) {
+        lists[d].push_back(static_cast<NodeId>(rng.NextBelow(kNodes)));
+      }
+      if (len > 3) lists[d].push_back(lists[d][len / 2]);
+    }
+    lists[0].push_back(0);
+    lists[devices - 1].push_back(kNodes - 1);
+    return lists;
+  };
+  auto check = [&](const std::vector<std::vector<NodeId>>& lists) {
+    auto ref_cached = [&](DeviceId d, NodeId v) {
+      const auto& l = lists[static_cast<std::size_t>(d)];
+      return std::find(l.begin(), l.end(), v) != l.end();
+    };
+    auto ref_tier = [&](DeviceId d, NodeId v) {
+      if (ref_cached(d, v)) return FeatureTier::kGpuCache;
+      const MachineId m = cluster.MachineOf(d);
+      if (nvlink) {
+        for (DeviceId p = 0; p < cluster.num_devices(); ++p) {
+          if (p != d && cluster.MachineOf(p) == m && ref_cached(p, v)) {
+            return FeatureTier::kPeerGpu;
+          }
+        }
+      }
+      return placement[static_cast<std::size_t>(v)] == m ? FeatureTier::kLocalCpu
+                                                         : FeatureTier::kRemoteCpu;
+    };
+    std::vector<NodeId> request;
+    for (int i = 0; i < 400; ++i) request.push_back(static_cast<NodeId>(rng.NextBelow(kNodes)));
+    request.push_back(0);
+    request.push_back(kNodes - 1);
+    for (DeviceId d = 0; d < cluster.num_devices(); ++d) {
+      for (NodeId v = 0; v < kNodes; ++v) {
+        ASSERT_EQ(store.Cached(d, v), ref_cached(d, v)) << "dev " << d << " node " << v;
+        ASSERT_EQ(store.Classify(d, v), ref_tier(d, v)) << "dev " << d << " node " << v;
+      }
+      LoadVolume want;
+      for (NodeId v : request) {
+        const auto t = static_cast<std::size_t>(ref_tier(d, v));
+        want.rows[t] += 1;
+        want.bytes[t] += 2 * static_cast<std::int64_t>(sizeof(float));
+      }
+      const LoadVolume got = store.CountGather(d, request, 0, 2);
+      EXPECT_EQ(got.rows, want.rows) << "dev " << d;
+      EXPECT_EQ(got.bytes, want.bytes) << "dev " << d;
+    }
+  };
+
+  const auto first = random_lists();
+  store.ConfigureCaches(first, 8);
+  check(first);
+  // A second call replaces the membership: nothing of the first survives.
+  const auto second = random_lists();
+  store.ConfigureCaches(second, 8);
+  check(second);
+  store.ConfigureCaches(std::vector<std::vector<NodeId>>(devices), 8);
+  check(std::vector<std::vector<NodeId>>(devices));
+}
+
+INSTANTIATE_TEST_SUITE_P(Clusters, FeatureTierTest,
+                         ::testing::Values(TierCase{1, false}, TierCase{1, true},
+                                           TierCase{2, false}, TierCase{2, true}),
+                         [](const auto& info) {
+                           return std::to_string(info.param.machines) + "x4_" +
+                                  (info.param.nvlink ? "nvlink" : "pcie");
+                         });
+
+TEST(FeatureStoreTest, RejectsOutOfRangeCacheNodes) {
+  SimContext sim(SingleMachineCluster(1));
+  const Tensor feats = MakeFeatures(10, 2);
+  FeatureStore store(feats, std::vector<MachineId>(10, 0), sim);
+  EXPECT_THROW(store.ConfigureCaches({{10}}, 8), Error);
+  EXPECT_THROW(store.ConfigureCaches({{-1}}, 8), Error);
 }
 
 // ---------------------------------------------------------------------------

@@ -55,6 +55,19 @@ TEST(CsrGraphTest, OutOfRangeThrows) {
   EXPECT_THROW(BuildCsr(2, std::vector<NodeId>{5}, std::vector<NodeId>{0}, false), Error);
 }
 
+TEST(CsrGraphTest, RejectsCorruptedArrays) {
+  // Valid: 3 nodes, edges into node 1 from 0 and 2.
+  EXPECT_NO_THROW(CsrGraph({0, 0, 2, 2}, {0, 2}));
+  // Neighbor ids outside [0, num_nodes).
+  EXPECT_THROW(CsrGraph({0, 0, 2, 2}, {0, 3}), Error);
+  EXPECT_THROW(CsrGraph({0, 0, 2, 2}, {-1, 2}), Error);
+  // indptr: non-zero start, decreasing, wrong end.
+  EXPECT_THROW(CsrGraph({1, 1, 2, 2}, {0, 2}), Error);
+  EXPECT_THROW(CsrGraph({0, 2, 1, 2}, {0, 2}), Error);
+  EXPECT_THROW(CsrGraph({0, 0, 2, 3}, {0, 2}), Error);
+  EXPECT_THROW(CsrGraph({}, {}), Error);
+}
+
 TEST(CsrGraphTest, TopologyBytesPositive) {
   const CsrGraph g = ErdosRenyi(100, 500, Rng(1));
   EXPECT_GT(g.TopologyBytes(), 0);

@@ -75,5 +75,60 @@ TEST(DatasetIoTest, TruncatedFileThrows) {
   EXPECT_THROW(LoadDataset(cut.path), Error);
 }
 
+/// Saves `ds`, overwrites the 8 bytes at `offset` with `value` (when
+/// offset >= 0), and returns whether LoadDataset throws apt::Error.
+bool LoadThrows(const Dataset& ds, const char* name, std::int64_t offset = -1,
+                std::int64_t value = 0) {
+  TempFile f(name);
+  SaveDataset(ds, f.path);
+  if (offset >= 0) {
+    std::fstream io(f.path, std::ios::binary | std::ios::in | std::ios::out);
+    io.seekp(offset);
+    io.write(reinterpret_cast<const char*>(&value), sizeof(value));
+  }
+  try {
+    LoadDataset(f.path);
+  } catch (const Error&) {
+    return true;
+  }
+  return false;
+}
+
+TEST(DatasetIoTest, CorruptedNeighborIdsThrow) {
+  const Dataset ds = SampleDs();
+  // Header: magic, version, name length + name, indptr length + indptr,
+  // indices length; the first neighbor id follows.
+  const auto first_index = static_cast<std::int64_t>(
+      8 + 4 + 8 + ds.name.size() + 8 + ds.graph.indptr().size() * sizeof(EdgeId) + 8);
+  EXPECT_FALSE(LoadThrows(ds, "ds_ok.bin"));
+  EXPECT_TRUE(LoadThrows(ds, "ds_idx_high.bin", first_index, ds.graph.num_nodes()));
+  EXPECT_TRUE(LoadThrows(ds, "ds_idx_neg.bin", first_index, -1));
+  const std::int64_t last_index =
+      first_index + (ds.graph.num_edges() - 1) * static_cast<std::int64_t>(sizeof(NodeId));
+  EXPECT_TRUE(LoadThrows(ds, "ds_idx_last.bin", last_index, 1LL << 40));
+}
+
+TEST(DatasetIoTest, CorruptedLabelsThrow) {
+  Dataset ds = SampleDs();
+  ds.labels[3] = ds.num_classes;
+  EXPECT_TRUE(LoadThrows(ds, "ds_label_high.bin"));
+  ds.labels[3] = -1;
+  EXPECT_TRUE(LoadThrows(ds, "ds_label_neg.bin"));
+  ds = SampleDs();
+  ds.num_classes = 0;
+  EXPECT_TRUE(LoadThrows(ds, "ds_no_classes.bin"));
+}
+
+TEST(DatasetIoTest, CorruptedSplitsThrow) {
+  const Dataset good = SampleDs();
+  for (auto split : {&Dataset::train_nodes, &Dataset::val_nodes, &Dataset::test_nodes}) {
+    for (NodeId bad : {NodeId{-1}, good.graph.num_nodes()}) {
+      Dataset ds = SampleDs();
+      (ds.*split).push_back(bad);
+      EXPECT_TRUE(LoadThrows(ds, "ds_split.bin")) << "split node " << bad;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace apt
