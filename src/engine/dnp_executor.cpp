@@ -63,11 +63,11 @@ class DnpExecutor final : public StrategyExecutor {
       const Block& lb = w.block;
       if (lb.num_dst == 0) continue;
 
-      Tensor feats(lb.num_src(), d);
+      Tensor feats = Tensor::Uninitialized(lb.num_src(), d);
       ctx_->store->Gather(g, lb.src_nodes, 0, d, feats);
       ctx_->sim->NoteTransient(g, 2 * feats.bytes());
       GnnLayer& layer0 = ctx_->model(g).layer(0);
-      const Tensor out = layer0.Forward(lb.csr(), lb.num_dst, feats, &w.saved);
+      const Tensor out = layer0.Forward(lb.csr(), lb.num_dst, std::move(feats), &w.saved);
       ctx_->sim->ChargeCompute(
           g, layer0.ForwardFlops(lb.num_src(), lb.num_dst, lb.num_edges()));
 
@@ -105,7 +105,7 @@ class DnpExecutor final : public StrategyExecutor {
       }
       const auto& blocks = batch.sample.blocks;
       ModelTape tape;
-      const Tensor logits = ctx_->model(o).ForwardFrom(1, blocks, raw0, &tape);
+      const Tensor logits = ctx_->model(o).ForwardFrom(1, blocks, std::move(raw0), &tape);
       Tensor grad_logits;
       const StepStats s =
           SeedLossAndGrad(batch, logits, total_seeds, grad_logits);

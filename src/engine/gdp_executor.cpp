@@ -42,12 +42,14 @@ class GdpExecutor final : public StrategyExecutor {
       if (batch.labels.empty()) continue;
       const auto& blocks = batch.sample.blocks;
       const auto input_nodes = batch.sample.input_nodes();
-      Tensor feats(static_cast<std::int64_t>(input_nodes.size()), d);
+      Tensor feats =
+          Tensor::Uninitialized(static_cast<std::int64_t>(input_nodes.size()), d);
       ctx_->store->Gather(dev, input_nodes, 0, d, feats);
       ctx_->sim->NoteTransient(dev, 2 * feats.bytes());
 
       ModelTape& tape = tapes[static_cast<std::size_t>(dev)];
-      const Tensor logits = ctx_->model(dev).ForwardFrom(0, blocks, feats, &tape);
+      const Tensor logits =
+          ctx_->model(dev).ForwardFrom(0, blocks, std::move(feats), &tape);
       Tensor grad_logits;
       const StepStats s =
           SeedLossAndGrad(batch, logits, total_seeds, grad_logits);

@@ -37,13 +37,6 @@ std::pair<std::int64_t, std::int64_t> DimSlice(std::int64_t dim, std::int32_t nu
   return {lo, hi};
 }
 
-/// Copies rows [lo, hi) of a weight matrix into a contiguous tensor.
-Tensor RowSlice(const Tensor& w, std::int64_t lo, std::int64_t hi) {
-  Tensor out(hi - lo, w.cols());
-  std::copy_n(w.row(lo), (hi - lo) * w.cols(), out.data());
-  return out;
-}
-
 /// Adds `slice` into rows [lo, hi) of grad.
 void AddRowSlice(Tensor& grad, std::int64_t lo, const Tensor& slice) {
   for (std::int64_t r = 0; r < slice.rows(); ++r) {
@@ -88,7 +81,9 @@ StepStats NfpExecutor::StepSage(std::vector<DeviceBatch>& batches) {
   // partials[o][g]: device g's contribution to origin o's layer-1 output.
   std::vector<std::vector<Tensor>> partials(
       static_cast<std::size_t>(c), std::vector<Tensor>(static_cast<std::size_t>(c)));
-  // Saved per (g, o) for the weight-gradient pass.
+  // Saved per (g, o) for the weight-gradient pass. The dst rows are copied
+  // out compactly so that each device's h_all is freed after its forward
+  // (see SNP's StepSage).
   std::vector<std::vector<Tensor>> saved_agg(partials.size(),
                                              std::vector<Tensor>(partials.size()));
   std::vector<std::vector<Tensor>> saved_self(partials.size(),
@@ -96,8 +91,8 @@ StepStats NfpExecutor::StepSage(std::vector<DeviceBatch>& batches) {
   for (DeviceId g = 0; g < c; ++g) {
     const auto [lo, hi] = DimSlice(d, c, g);
     auto& sage = dynamic_cast<SageLayer&>(ctx_->model(g).layer(0));
-    const Tensor w_neigh = RowSlice(sage.w_neigh().value, lo, hi);
-    const Tensor w_self = RowSlice(sage.w_self().value, lo, hi);
+    const ConstMatrixRef w_neigh = RowRange(sage.w_neigh().value, lo, hi - lo);
+    const ConstMatrixRef w_self = RowRange(sage.w_self().value, lo, hi - lo);
     // One batched dimension-slice gather per device per step.
     std::vector<NodeId> gather_nodes;
     std::vector<std::int64_t> base(static_cast<std::size_t>(c), 0);
@@ -106,21 +101,20 @@ StepStats NfpExecutor::StepSage(std::vector<DeviceBatch>& batches) {
       const Block& b = all0[static_cast<std::size_t>(o)];
       gather_nodes.insert(gather_nodes.end(), b.src_nodes.begin(), b.src_nodes.end());
     }
-    Tensor h_all(static_cast<std::int64_t>(gather_nodes.size()), hi - lo);
+    Tensor h_all = Tensor::Uninitialized(static_cast<std::int64_t>(gather_nodes.size()), hi - lo);
     if (!gather_nodes.empty()) ctx_->store->Gather(g, gather_nodes, lo, hi, h_all);
     std::int64_t transient = h_all.bytes();
     double flops = 0.0;
     for (DeviceId o = 0; o < c; ++o) {
       const Block& b = all0[static_cast<std::size_t>(o)];
       if (b.num_dst == 0) continue;
-      Tensor h(b.num_src(), hi - lo);
-      std::copy_n(h_all.row(base[static_cast<std::size_t>(o)]), b.num_src() * (hi - lo),
-                  h.data());
-      Tensor aggd(b.num_dst, hi - lo);
-      SpmmMean(b.csr(), h, aggd);
-      Tensor self(b.num_dst, hi - lo);
-      std::copy_n(h.data(), b.num_dst * (hi - lo), self.data());
-      Tensor part(b.num_dst, sage.out_dim());
+      // Origin o's source rows, dst prefix first: a row range of h_all.
+      const std::int64_t row0 = base[static_cast<std::size_t>(o)];
+      Tensor aggd = Tensor::Uninitialized(b.num_dst, hi - lo);
+      SpmmMean(b.csr(), RowRange(h_all, row0, b.num_src()), aggd);
+      Tensor self = Tensor::Uninitialized(b.num_dst, hi - lo);
+      std::copy_n(h_all.row(row0), b.num_dst * (hi - lo), self.data());
+      Tensor part = Tensor::Uninitialized(b.num_dst, sage.out_dim());
       Matmul(aggd, w_neigh, part);
       Matmul(self, w_self, part, 1.0f, 1.0f);
       flops += 4.0 * static_cast<double>(b.num_dst) * (hi - lo) * sage.out_dim() +
@@ -143,7 +137,7 @@ StepStats NfpExecutor::StepSage(std::vector<DeviceBatch>& batches) {
     std::vector<Tensor*> ptrs;
     for (auto& t : parts) ptrs.push_back(&t);
     ctx_->comm->AllReduceSum(ptrs, Phase::kTrain);
-    raw0[static_cast<std::size_t>(o)] = parts[0];  // reduced copy
+    raw0[static_cast<std::size_t>(o)] = std::move(parts[0]);  // the reduced sum
   }
 
   stage.Next("execute");
@@ -157,7 +151,7 @@ StepStats NfpExecutor::StepSage(std::vector<DeviceBatch>& batches) {
     AddBiasRows(r0, sage.bias().value);  // bias applied once, post-reduce
     const auto& blocks = batch.sample.blocks;
     ModelTape tape;
-    const Tensor logits = ctx_->model(o).ForwardFrom(1, blocks, r0, &tape);
+    const Tensor logits = ctx_->model(o).ForwardFrom(1, blocks, std::move(r0), &tape);
     Tensor grad_logits;
     const StepStats s = SeedLossAndGrad(batch, logits, total_seeds, grad_logits);
     grad_raw0[static_cast<std::size_t>(o)] =
@@ -173,11 +167,8 @@ StepStats NfpExecutor::StepSage(std::vector<DeviceBatch>& batches) {
   stage.Next("reshuffle");
   // Backward shuffle: broadcast layer-1 output gradients so every device can
   // form the gradient of its weight slice.
-  std::vector<Tensor> bc_in(static_cast<std::size_t>(c));
-  for (DeviceId o = 0; o < c; ++o) bc_in[static_cast<std::size_t>(o)] =
-      grad_raw0[static_cast<std::size_t>(o)];
   const std::vector<Tensor> all_grad =
-      ctx_->comm->AllBroadcastTensors(bc_in, Phase::kTrain);
+      ctx_->comm->AllBroadcastTensors(grad_raw0, Phase::kTrain);
 
   stage.Next("execute");
   for (DeviceId g = 0; g < c; ++g) {
@@ -189,7 +180,7 @@ StepStats NfpExecutor::StepSage(std::vector<DeviceBatch>& batches) {
       if (go.rows() == 0) continue;
       const Tensor& aggd = saved_agg[static_cast<std::size_t>(g)][static_cast<std::size_t>(o)];
       const Tensor& self = saved_self[static_cast<std::size_t>(g)][static_cast<std::size_t>(o)];
-      Tensor gw(hi - lo, sage.out_dim());
+      Tensor gw = Tensor::Uninitialized(hi - lo, sage.out_dim());
       MatmulTN(aggd, go, gw);
       AddRowSlice(sage.w_neigh().grad, lo, gw);
       MatmulTN(self, go, gw);
@@ -219,12 +210,15 @@ StepStats NfpExecutor::StepGat(std::vector<DeviceBatch>& batches) {
   // Partial projections z from each dimension slice, for all graphs.
   std::vector<std::vector<Tensor>> z_parts(
       static_cast<std::size_t>(c), std::vector<Tensor>(static_cast<std::size_t>(c)));
-  std::vector<std::vector<Tensor>> saved_h(z_parts.size(),
-                                           std::vector<Tensor>(z_parts.size()));
+  // Saved for the weight-gradient pass: each device's gathered slice rows
+  // and where each origin's rows start in them. The pass reads every row,
+  // so keeping h_all costs no memory beyond the rows themselves.
+  std::vector<Tensor> saved_h_all(z_parts.size());
+  std::vector<std::vector<std::int64_t>> saved_base(z_parts.size());
   for (DeviceId g = 0; g < c; ++g) {
     const auto [lo, hi] = DimSlice(d, c, g);
     auto& gat = dynamic_cast<GatLayer&>(ctx_->model(g).layer(0));
-    const Tensor w = RowSlice(gat.w().value, lo, hi);
+    const ConstMatrixRef w = RowRange(gat.w().value, lo, hi - lo);
     // One batched dimension-slice gather per device per step.
     std::vector<NodeId> gather_nodes;
     std::vector<std::int64_t> base(static_cast<std::size_t>(c), 0);
@@ -233,27 +227,25 @@ StepStats NfpExecutor::StepGat(std::vector<DeviceBatch>& batches) {
       const Block& b = all0[static_cast<std::size_t>(o)];
       gather_nodes.insert(gather_nodes.end(), b.src_nodes.begin(), b.src_nodes.end());
     }
-    Tensor h_all(static_cast<std::int64_t>(gather_nodes.size()), hi - lo);
+    Tensor h_all = Tensor::Uninitialized(static_cast<std::int64_t>(gather_nodes.size()), hi - lo);
     if (!gather_nodes.empty()) ctx_->store->Gather(g, gather_nodes, lo, hi, h_all);
     std::int64_t transient = h_all.bytes();
     double flops = 0.0;
     for (DeviceId o = 0; o < c; ++o) {
       const Block& b = all0[static_cast<std::size_t>(o)];
       if (b.num_dst == 0) continue;
-      Tensor h(b.num_src(), hi - lo);
-      std::copy_n(h_all.row(base[static_cast<std::size_t>(o)]), b.num_src() * (hi - lo),
-                  h.data());
-      Tensor z(b.num_src(), gat.out_dim());
-      Matmul(h, w, z);
+      Tensor z = Tensor::Uninitialized(b.num_src(), gat.out_dim());
+      Matmul(RowRange(h_all, base[static_cast<std::size_t>(o)], b.num_src()), w, z);
       flops += 2.0 * static_cast<double>(b.num_src()) * (hi - lo) * gat.out_dim();
       transient += z.bytes();
       z_parts[static_cast<std::size_t>(o)][static_cast<std::size_t>(g)] = std::move(z);
-      saved_h[static_cast<std::size_t>(g)][static_cast<std::size_t>(o)] = std::move(h);
     }
     ctx_->sim->ChargeCompute(g, flops);
     // Every device holds z for EVERY graph's full source set: the memory
     // blowup the paper observes for NFP + attention at large hidden dims.
     ctx_->sim->NoteTransient(g, transient);
+    saved_h_all[static_cast<std::size_t>(g)] = std::move(h_all);
+    saved_base[static_cast<std::size_t>(g)] = std::move(base);
   }
 
   stage.Next("reshuffle");
@@ -265,7 +257,7 @@ StepStats NfpExecutor::StepGat(std::vector<DeviceBatch>& batches) {
     std::vector<Tensor*> ptrs;
     for (auto& t : parts) ptrs.push_back(&t);
     ctx_->comm->AllReduceSum(ptrs, Phase::kTrain);
-    z_full[static_cast<std::size_t>(o)] = parts[0];
+    z_full[static_cast<std::size_t>(o)] = std::move(parts[0]);
   }
 
   stage.Next("execute");
@@ -277,11 +269,11 @@ StepStats NfpExecutor::StepGat(std::vector<DeviceBatch>& batches) {
     auto& gat = dynamic_cast<GatLayer&>(ctx_->model(o).layer(0));
     const Block& b = batch.sample.blocks[0];
     std::unique_ptr<GatAttentionContext> attn_ctx;
-    const Tensor raw0 = gat.AttentionForward(b.csr(), b.num_dst,
-                                             z_full[static_cast<std::size_t>(o)], &attn_ctx);
+    Tensor raw0 = gat.AttentionForward(
+        b.csr(), b.num_dst, std::move(z_full[static_cast<std::size_t>(o)]), &attn_ctx);
     const auto& blocks = batch.sample.blocks;
     ModelTape tape;
-    const Tensor logits = ctx_->model(o).ForwardFrom(1, blocks, raw0, &tape);
+    const Tensor logits = ctx_->model(o).ForwardFrom(1, blocks, std::move(raw0), &tape);
     Tensor grad_logits;
     const StepStats s = SeedLossAndGrad(batch, logits, total_seeds, grad_logits);
     const Tensor grad_raw0 = ctx_->model(o).BackwardTo(1, blocks, tape, grad_logits);
@@ -306,8 +298,11 @@ StepStats NfpExecutor::StepGat(std::vector<DeviceBatch>& batches) {
     for (DeviceId o = 0; o < c; ++o) {
       const Tensor& gz = all_grad_z[static_cast<std::size_t>(o)];
       if (gz.rows() == 0) continue;
-      const Tensor& h = saved_h[static_cast<std::size_t>(g)][static_cast<std::size_t>(o)];
-      Tensor gw(hi - lo, gat.out_dim());
+      const ConstMatrixRef h =
+          RowRange(saved_h_all[static_cast<std::size_t>(g)],
+                   saved_base[static_cast<std::size_t>(g)][static_cast<std::size_t>(o)],
+                   all0[static_cast<std::size_t>(o)].num_src());
+      Tensor gw = Tensor::Uninitialized(hi - lo, gat.out_dim());
       MatmulTN(h, gz, gw);
       AddRowSlice(gat.w().grad, lo, gw);
       flops += 2.0 * static_cast<double>(gz.rows()) * (hi - lo) * gat.out_dim();

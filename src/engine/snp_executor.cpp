@@ -72,7 +72,9 @@ StepStats SnpExecutor::StepSage(std::vector<DeviceBatch>& batches) {
   std::vector<std::vector<std::vector<std::int64_t>>> route_index(
       static_cast<std::size_t>(c),
       std::vector<std::vector<std::int64_t>>(static_cast<std::size_t>(c)));
-  // Saved for the weight-gradient pass: per (g, o).
+  // Saved for the weight-gradient pass: per (g, o). The self rows are copied
+  // out compactly: keeping every device's whole h_all alive until then
+  // instead raised train-ps-d512's peak RSS by about a third.
   std::vector<std::vector<Tensor>> saved_agg(partials.size(),
                                              std::vector<Tensor>(partials.size()));
   std::vector<std::vector<Tensor>> saved_self(partials.size(),
@@ -85,7 +87,7 @@ StepStats SnpExecutor::StepSage(std::vector<DeviceBatch>& batches) {
     // per-origin unique source lists plus owned-destination self rows in a
     // single store request, then sliced per origin.
     SnpSageGather gather = GatherSnpSage(recv[static_cast<std::size_t>(g)]);
-    Tensor h_all(static_cast<std::int64_t>(gather.nodes.size()), d);
+    Tensor h_all = Tensor::Uninitialized(static_cast<std::int64_t>(gather.nodes.size()), d);
     if (!gather.nodes.empty()) ctx_->store->Gather(g, gather.nodes, 0, d, h_all);
 
     double flops = 0.0;
@@ -95,7 +97,7 @@ StepStats SnpExecutor::StepSage(std::vector<DeviceBatch>& batches) {
       if (vb.size() == 0) continue;
       SnpSageGather::OriginView& view = gather.views[static_cast<std::size_t>(o)];
       // Partial mean: sum local sources / total degree.
-      Tensor aggd(vb.size(), d);
+      Tensor aggd = Tensor::Uninitialized(vb.size(), d);
       const CsrView local_csr{vb.src_indptr, view.col};
       SpmmSum(local_csr, h_all, aggd);
       for (std::int64_t r = 0; r < aggd.rows(); ++r) {
@@ -103,14 +105,14 @@ StepStats SnpExecutor::StepSage(std::vector<DeviceBatch>& batches) {
         float* row = aggd.row(r);
         for (std::int64_t j = 0; j < d; ++j) row[j] *= inv;
       }
-      Tensor part(vb.size(), sage.out_dim());
+      Tensor part = Tensor::Uninitialized(vb.size(), sage.out_dim());
       Matmul(aggd, sage.w_neigh().value, part);
-      // Self terms for destinations owned here.
+      // Self terms for destinations owned here: a contiguous run of h_all.
       const auto num_self = static_cast<std::int64_t>(view.self_rows.size());
-      Tensor self_h(num_self, d);
+      Tensor self_h = Tensor::Uninitialized(num_self, d);
       if (num_self > 0) {
         std::copy_n(h_all.row(view.self_base), num_self * d, self_h.data());
-        Tensor self_out(num_self, sage.out_dim());
+        Tensor self_out = Tensor::Uninitialized(num_self, sage.out_dim());
         Matmul(self_h, sage.w_self().value, self_out);
         ScatterAddRows(self_out, view.self_rows, part);
       }
@@ -153,7 +155,7 @@ StepStats SnpExecutor::StepSage(std::vector<DeviceBatch>& batches) {
     AddBiasRows(r0, sage.bias().value);
     const auto& blocks = batch.sample.blocks;
     ModelTape tape;
-    const Tensor logits = ctx_->model(o).ForwardFrom(1, blocks, r0, &tape);
+    const Tensor logits = ctx_->model(o).ForwardFrom(1, blocks, std::move(r0), &tape);
     Tensor grad_logits;
     const StepStats s = SeedLossAndGrad(batch, logits, total_seeds, grad_logits);
     grad_raw0[static_cast<std::size_t>(o)] =
@@ -196,7 +198,7 @@ StepStats SnpExecutor::StepSage(std::vector<DeviceBatch>& batches) {
       const auto& self_rows =
           saved_self_rows[static_cast<std::size_t>(g)][static_cast<std::size_t>(o)];
       if (self_h.rows() > 0) {
-        Tensor gsel(self_h.rows(), grows.cols());
+        Tensor gsel = Tensor::Uninitialized(self_h.rows(), grows.cols());
         GatherRows(grows, self_rows, gsel);
         MatmulTN(self_h, gsel, sage.w_self().grad, 1.0f, 1.0f);
       }
@@ -230,14 +232,17 @@ StepStats SnpExecutor::StepGat(std::vector<DeviceBatch>& batches) {
   stage.Next("execute");
   std::vector<std::vector<Tensor>> z_sends(
       static_cast<std::size_t>(c), std::vector<Tensor>(static_cast<std::size_t>(c)));
-  std::vector<std::vector<Tensor>> saved_h(z_sends.size(),
-                                           std::vector<Tensor>(z_sends.size()));
+  // Saved for the weight-gradient pass: each device's gathered rows and
+  // where each origin's requested rows start in them. The pass reads every
+  // row, so keeping h_all costs no memory beyond the rows themselves.
+  std::vector<Tensor> saved_h_all(z_sends.size());
+  std::vector<std::vector<std::int64_t>> saved_base(z_sends.size());
   for (DeviceId g = 0; g < c; ++g) {
     auto& gat = dynamic_cast<GatLayer&>(ctx_->model(g).layer(0));
     // One batched gather per device per step; per-origin requests are
     // served as contiguous row ranges of the batched fetch.
-    const SnpGatGather gather = GatherSnpGat(recv_req[static_cast<std::size_t>(g)]);
-    Tensor h_all(static_cast<std::int64_t>(gather.nodes.size()), d);
+    SnpGatGather gather = GatherSnpGat(recv_req[static_cast<std::size_t>(g)]);
+    Tensor h_all = Tensor::Uninitialized(static_cast<std::int64_t>(gather.nodes.size()), d);
     if (!gather.nodes.empty()) ctx_->store->Gather(g, gather.nodes, 0, d, h_all);
 
     double flops = 0.0;
@@ -246,16 +251,16 @@ StepStats SnpExecutor::StepGat(std::vector<DeviceBatch>& batches) {
       const auto& req = recv_req[static_cast<std::size_t>(g)][static_cast<std::size_t>(o)];
       if (req.nodes.empty()) continue;
       const auto n = static_cast<std::int64_t>(req.nodes.size());
-      Tensor h(n, d);
-      std::copy_n(h_all.row(gather.base[static_cast<std::size_t>(o)]), n * d, h.data());
-      Tensor z = gat.Project(h);
+      Tensor z = gat.Project(RowRange(h_all, gather.base[static_cast<std::size_t>(o)], n));
       flops += 2.0 * static_cast<double>(n) * d * gat.out_dim();
-      transient += h.bytes() + z.bytes();
+      // The memory model charges each origin's rows as a buffer of their own.
+      transient += n * d * static_cast<std::int64_t>(sizeof(float)) + z.bytes();
       z_sends[static_cast<std::size_t>(g)][static_cast<std::size_t>(o)] = std::move(z);
-      saved_h[static_cast<std::size_t>(g)][static_cast<std::size_t>(o)] = std::move(h);
     }
     ctx_->sim->ChargeCompute(g, flops);
     ctx_->sim->NoteTransient(g, transient);
+    saved_h_all[static_cast<std::size_t>(g)] = std::move(h_all);
+    saved_base[static_cast<std::size_t>(g)] = std::move(gather.base);
   }
   // Hidden-embedding shuffle (the GAT extra communication).
   stage.Next("reshuffle");
@@ -276,10 +281,10 @@ StepStats SnpExecutor::StepGat(std::vector<DeviceBatch>& batches) {
       ScatterRows(rows, positions[static_cast<std::size_t>(o)][static_cast<std::size_t>(g)], z);
     }
     std::unique_ptr<GatAttentionContext> attn_ctx;
-    const Tensor raw0 = gat.AttentionForward(b.csr(), b.num_dst, z, &attn_ctx);
+    Tensor raw0 = gat.AttentionForward(b.csr(), b.num_dst, std::move(z), &attn_ctx);
     const auto& blocks = batch.sample.blocks;
     ModelTape tape;
-    const Tensor logits = ctx_->model(o).ForwardFrom(1, blocks, raw0, &tape);
+    const Tensor logits = ctx_->model(o).ForwardFrom(1, blocks, std::move(raw0), &tape);
     Tensor grad_logits;
     const StepStats s = SeedLossAndGrad(batch, logits, total_seeds, grad_logits);
     const Tensor grad_raw0 = ctx_->model(o).BackwardTo(1, blocks, tape, grad_logits);
@@ -315,8 +320,11 @@ StepStats SnpExecutor::StepGat(std::vector<DeviceBatch>& batches) {
     for (DeviceId o = 0; o < c; ++o) {
       const Tensor& grows = gz_recv[static_cast<std::size_t>(g)][static_cast<std::size_t>(o)];
       if (grows.rows() == 0) continue;
-      const Tensor& h = saved_h[static_cast<std::size_t>(g)][static_cast<std::size_t>(o)];
-      MatmulTN(h, grows, gat.w().grad, 1.0f, 1.0f);
+      const auto n = static_cast<std::int64_t>(
+          recv_req[static_cast<std::size_t>(g)][static_cast<std::size_t>(o)].nodes.size());
+      MatmulTN(RowRange(saved_h_all[static_cast<std::size_t>(g)],
+                        saved_base[static_cast<std::size_t>(g)][static_cast<std::size_t>(o)], n),
+               grows, gat.w().grad, 1.0f, 1.0f);
       flops += 2.0 * static_cast<double>(grows.rows()) * d * gat.out_dim();
     }
     ctx_->sim->ChargeCompute(g, flops);

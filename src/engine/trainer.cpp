@@ -408,9 +408,10 @@ double ParallelTrainer::EvaluateAccuracy(std::span<const NodeId> nodes,
     const std::size_t hi = std::min(nodes.size(), lo + static_cast<std::size_t>(batch_size));
     const std::span<const NodeId> seeds = nodes.subspan(lo, hi - lo);
     SampledBatch batch = sampler.Sample(seeds, rng);
-    Tensor feats(batch.blocks[0].num_src(), d);
+    Tensor feats = Tensor::Uninitialized(batch.blocks[0].num_src(), d);
     GatherRows(dataset_->features, batch.blocks[0].src_nodes, feats);
-    const Tensor logits = models_[0]->ForwardFrom(0, batch.blocks, feats, nullptr);
+    const Tensor logits =
+        models_[0]->ForwardFrom(0, batch.blocks, std::move(feats), nullptr);
     for (std::int64_t i = 0; i < logits.rows(); ++i) {
       const float* row = logits.row(i);
       std::int64_t argmax = 0;

@@ -123,21 +123,28 @@ void FeatureStore::ConfigureCaches(const std::vector<std::vector<NodeId>>& cache
   }
 }
 
-FeatureTier FeatureStore::Classify(DeviceId dev, NodeId v) const {
-  if (Cached(dev, v)) return FeatureTier::kGpuCache;
+FeatureStore::ReaderSite FeatureStore::SiteOf(DeviceId dev) const {
   const ClusterSpec& cluster = ctx_->cluster();
   const MachineId m = cluster.MachineOf(dev);
+  const DeviceId base = dev - cluster.LocalIndex(dev);
   // Peer-GPU reads require fast interconnect (paper feature-map rule 1).
-  if (cluster.machine(m).has_nvlink) {
-    const std::int32_t local = cluster.LocalIndex(dev);
-    const DeviceId base = dev - local;
-    for (std::int32_t i = 0; i < cluster.machine(m).num_gpus; ++i) {
-      const DeviceId peer = base + i;
-      if (peer != dev && Cached(peer, v)) return FeatureTier::kPeerGpu;
-    }
+  const DeviceId peers = cluster.machine(m).has_nvlink ? cluster.machine(m).num_gpus : 0;
+  return {dev, m, base, base + peers};
+}
+
+FeatureTier FeatureStore::ClassifyAt(const ReaderSite& site, NodeId v) const {
+  if (Cached(site.dev, v)) return FeatureTier::kGpuCache;
+  for (DeviceId peer = site.peer_lo; peer < site.peer_hi; ++peer) {
+    if (peer != site.dev && Cached(peer, v)) return FeatureTier::kPeerGpu;
   }
-  if (node_machine_[static_cast<std::size_t>(v)] == m) return FeatureTier::kLocalCpu;
+  if (node_machine_[static_cast<std::size_t>(v)] == site.machine) {
+    return FeatureTier::kLocalCpu;
+  }
   return FeatureTier::kRemoteCpu;
+}
+
+FeatureTier FeatureStore::Classify(DeviceId dev, NodeId v) const {
+  return ClassifyAt(SiteOf(dev), v);
 }
 
 LoadVolume FeatureStore::CountGather(DeviceId dev, std::span<const NodeId> nodes,
@@ -146,8 +153,9 @@ LoadVolume FeatureStore::CountGather(DeviceId dev, std::span<const NodeId> nodes
   const std::int64_t row_bytes =
       (col_hi - col_lo) * static_cast<std::int64_t>(sizeof(float));
   LoadVolume vol;
+  const ReaderSite site = SiteOf(dev);
   for (NodeId v : nodes) {
-    const auto tier = static_cast<std::size_t>(Classify(dev, v));
+    const auto tier = static_cast<std::size_t>(ClassifyAt(site, v));
     vol.rows[tier] += 1;
     vol.bytes[tier] += row_bytes;
   }

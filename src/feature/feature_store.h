@@ -144,6 +144,18 @@ class FeatureStore {
   bool procedural() const { return procedural_; }
 
  private:
+  /// What classifying a read by one device needs of the cluster: its
+  /// machine and the peer devices [peer_lo, peer_hi) whose caches it may
+  /// read (an empty range without NVLink). Resolved once per CountGather.
+  struct ReaderSite {
+    DeviceId dev;
+    MachineId machine;
+    DeviceId peer_lo;
+    DeviceId peer_hi;
+  };
+  ReaderSite SiteOf(DeviceId dev) const;
+  FeatureTier ClassifyAt(const ReaderSite& site, NodeId v) const;
+
   /// The tensor gathers copy from: the caller's fp32 features under the
   /// identity codec, the rounded copy under a lossy one.
   const Tensor& served() const {

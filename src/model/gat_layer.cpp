@@ -19,7 +19,7 @@ struct GatFullContext final : LayerContext {
 
 /// Extracts one head's column slice of z into a contiguous tensor.
 Tensor HeadSlice(const Tensor& z, std::int64_t head, std::int64_t head_dim) {
-  Tensor out(z.rows(), head_dim);
+  Tensor out = Tensor::Uninitialized(z.rows(), head_dim);
   const std::int64_t lo = head * head_dim;
   for (std::int64_t i = 0; i < z.rows(); ++i) {
     std::copy_n(z.row(i) + lo, head_dim, out.row(i));
@@ -53,9 +53,9 @@ GatLayer::GatLayer(std::int64_t in_dim, std::int64_t head_dim, std::int64_t num_
   XavierUniform(attn_dst_.value, rng);
 }
 
-Tensor GatLayer::Project(const Tensor& input) const {
-  APT_CHECK_EQ(input.cols(), in_dim_);
-  Tensor z(input.rows(), out_dim());
+Tensor GatLayer::Project(ConstMatrixRef input) const {
+  APT_CHECK_EQ(input.cols, in_dim_);
+  Tensor z = Tensor::Uninitialized(input.rows, out_dim());
   Matmul(input, w_.value, z);
   return z;
 }
@@ -69,7 +69,7 @@ Tensor GatLayer::ProjectBackward(const Tensor& input, const Tensor& grad_z) {
 }
 
 Tensor GatLayer::AttentionForward(const CsrView& csr, std::int64_t num_dst,
-                                  const Tensor& z,
+                                  Tensor z,
                                   std::unique_ptr<GatAttentionContext>* saved) const {
   APT_CHECK_EQ(z.cols(), out_dim());
   APT_CHECK_GE(z.rows(), num_dst);
@@ -115,9 +115,11 @@ Tensor GatLayer::AttentionForward(const CsrView& csr, std::int64_t num_dst,
     SpmmWeightedSum(csr, alpha, zh, head_out);
     AddHeadSlice(out, h, head_dim_, head_out);
   }
-  ctx->z = z;
   AddBiasRows(out, bias_.value);
-  if (saved != nullptr) *saved = std::move(ctx);
+  if (saved != nullptr) {
+    ctx->z = std::move(z);
+    *saved = std::move(ctx);
+  }
   return out;
 }
 
@@ -191,13 +193,13 @@ Tensor GatLayer::AttentionBackward(const CsrView& csr, std::int64_t num_dst,
   return grad_z;
 }
 
-Tensor GatLayer::Forward(const CsrView& csr, std::int64_t num_dst, const Tensor& input,
+Tensor GatLayer::Forward(const CsrView& csr, std::int64_t num_dst, Tensor input,
                          std::unique_ptr<LayerContext>* saved) {
   auto ctx = std::make_unique<GatFullContext>();
-  const Tensor z = Project(input);
-  Tensor out = AttentionForward(csr, num_dst, z, &ctx->attn);
+  Tensor out = AttentionForward(csr, num_dst, Project(input),
+                                saved != nullptr ? &ctx->attn : nullptr);
   if (saved != nullptr) {
-    ctx->input = input;
+    ctx->input = std::move(input);
     *saved = std::move(ctx);
   }
   return out;

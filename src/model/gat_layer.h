@@ -30,7 +30,7 @@ class GatLayer final : public GnnLayer {
            Rng& rng);
 
   // --- monolithic interface (GDP / DNP local execution) -----------------
-  Tensor Forward(const CsrView& csr, std::int64_t num_dst, const Tensor& input,
+  Tensor Forward(const CsrView& csr, std::int64_t num_dst, Tensor input,
                  std::unique_ptr<LayerContext>* saved) override;
   Tensor Backward(const CsrView& csr, std::int64_t num_dst, const LayerContext& saved,
                   const Tensor& grad_out, InputGrad input_grad) override;
@@ -44,14 +44,15 @@ class GatLayer final : public GnnLayer {
 
   // --- split interface (SNP / NFP distributed execution) ----------------
 
-  /// z = input W  ([rows, heads*head_dim]).
-  Tensor Project(const Tensor& input) const;
+  /// z = input W  ([rows, heads*head_dim]). input may be a row range.
+  Tensor Project(ConstMatrixRef input) const;
   /// Accumulates grad_W (+nothing else); returns grad_input.
   Tensor ProjectBackward(const Tensor& input, const Tensor& grad_z);
 
   /// Attention given already-projected sources. The dst prefix convention
-  /// applies to z as it does to input rows.
-  Tensor AttentionForward(const CsrView& csr, std::int64_t num_dst, const Tensor& z,
+  /// applies to z as it does to input rows. z is consumed: it is moved into
+  /// the saved context.
+  Tensor AttentionForward(const CsrView& csr, std::int64_t num_dst, Tensor z,
                           std::unique_ptr<GatAttentionContext>* saved) const;
   /// Returns grad_z; accumulates attention-vector and bias grads.
   Tensor AttentionBackward(const CsrView& csr, std::int64_t num_dst,

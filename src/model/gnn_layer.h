@@ -33,9 +33,11 @@ class GnnLayer {
 
   /// input is [num_src, in_dim]; the first num_dst rows are the destination
   /// nodes' own embeddings (Block prefix convention). Returns
-  /// [num_dst, out_dim]; `saved` receives the context for Backward.
-  virtual Tensor Forward(const CsrView& csr, std::int64_t num_dst,
-                         const Tensor& input,
+  /// [num_dst, out_dim]; `saved` receives the context for Backward. The
+  /// input is consumed: it is moved into the saved context, which Backward
+  /// reads it from. Pass std::move(x) when the caller no longer needs x; an
+  /// lvalue argument pays one copy at the call site.
+  virtual Tensor Forward(const CsrView& csr, std::int64_t num_dst, Tensor input,
                          std::unique_ptr<LayerContext>* saved) = 0;
 
   /// Accumulates parameter grads. Returns grad_input [num_src, in_dim] for

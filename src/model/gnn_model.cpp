@@ -41,7 +41,7 @@ GnnModel::GnnModel(const ModelConfig& config) : config_(config) {
 }
 
 Tensor GnnModel::ForwardFrom(int first_layer, std::span<const Block> blocks,
-                             const Tensor& input, ModelTape* tape) {
+                             Tensor input, ModelTape* tape) {
   APT_CHECK_EQ(static_cast<int>(blocks.size()), num_layers());
   // first_layer == num_layers is the single-layer-model case: a strategy
   // computed the whole network itself and this call is an identity.
@@ -50,7 +50,7 @@ Tensor GnnModel::ForwardFrom(int first_layer, std::span<const Block> blocks,
     tape->layer_ctx.resize(static_cast<std::size_t>(num_layers()));
     tape->pre_activation.resize(static_cast<std::size_t>(num_layers()));
   }
-  Tensor h = input;
+  Tensor h = std::move(input);
   for (int k = first_layer; k < num_layers(); ++k) {
     if (k >= 1) {
       // Quantized boundary: round the layer-0 raw output ONCE at layer 1's
@@ -58,20 +58,23 @@ Tensor GnnModel::ForwardFrom(int first_layer, std::span<const Block> blocks,
       // through this point with the same row values, so the rounded tensor
       // is identical across strategies.
       if (k == 1) CodecRoundRows(boundary_codec_, h);
-      // Entry activation: ReLU on the previous layer's raw output. Save the
-      // raw values for the backward pass.
+      // Entry activation: ReLU on the previous layer's raw output. The raw
+      // values move into the tape for the backward pass; without a tape
+      // nothing reads them again and ReLU runs in place.
       if (tape != nullptr) {
-        tape->pre_activation[static_cast<std::size_t>(k)] = h;
+        Tensor activated = Tensor::Uninitialized(h.rows(), h.cols());
+        Relu(h, activated);
+        tape->pre_activation[static_cast<std::size_t>(k)] = std::move(h);
+        h = std::move(activated);
+      } else {
+        Relu(h, h);
       }
-      Tensor activated(h.rows(), h.cols());
-      Relu(h, activated);
-      h = std::move(activated);
     }
     const Block& b = blocks[static_cast<std::size_t>(k)];
     APT_CHECK_EQ(h.rows(), b.num_src()) << "layer " << k << " input rows";
     std::unique_ptr<LayerContext> ctx;
     h = layers_[static_cast<std::size_t>(k)]->Forward(
-        b.csr(), b.num_dst, h, tape != nullptr ? &ctx : nullptr);
+        b.csr(), b.num_dst, std::move(h), tape != nullptr ? &ctx : nullptr);
     if (tape != nullptr) {
       tape->layer_ctx[static_cast<std::size_t>(k)] = std::move(ctx);
     }
@@ -89,10 +92,8 @@ Tensor GnnModel::BackwardTo(int first_layer, std::span<const Block> blocks,
         b.csr(), b.num_dst, *tape.layer_ctx[static_cast<std::size_t>(k)], grad,
         k >= 1 ? InputGrad::kCompute : InputGrad::kSkip);
     if (k >= 1) {
-      const Tensor& raw = tape.pre_activation[static_cast<std::size_t>(k)];
-      Tensor grad_raw(raw.rows(), raw.cols());
-      ReluBackward(raw, grad, grad_raw);
-      grad = std::move(grad_raw);
+      // In place: each element reads only its own raw value and gradient.
+      ReluBackward(tape.pre_activation[static_cast<std::size_t>(k)], grad, grad);
       // Quantized boundary, backward direction: the gradient handed across
       // the layer-1/layer-0 boundary is rounded once here — the same value
       // whether the caller continues into layer 0 locally (GDP) or ships

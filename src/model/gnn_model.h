@@ -54,9 +54,11 @@ class GnnModel {
   /// first_layer >= 1 the entry ReLU is applied internally. Returns the
   /// logits for blocks.back()'s destination (seed) nodes.
   /// first_layer == K is allowed and returns `input` unchanged (single-layer
-  /// models whose only layer a strategy executed itself).
-  Tensor ForwardFrom(int first_layer, std::span<const Block> blocks,
-                     const Tensor& input, ModelTape* tape);
+  /// models whose only layer a strategy executed itself). `input` is
+  /// consumed (moved through the layers into the tape): pass std::move(x)
+  /// when x is dead afterwards; an lvalue pays one copy at the call site.
+  Tensor ForwardFrom(int first_layer, std::span<const Block> blocks, Tensor input,
+                     ModelTape* tape);
 
   /// Backward counterpart; returns the gradient w.r.t. `input` as passed to
   /// ForwardFrom (i.e. including the entry-ReLU backward for layers >= 1).

@@ -28,22 +28,22 @@ SageLayer::SageLayer(std::int64_t in_dim, std::int64_t out_dim, Rng& rng)
   XavierUniform(w_neigh_.value, rng);
 }
 
-Tensor SageLayer::Forward(const CsrView& csr, std::int64_t num_dst, const Tensor& input,
+Tensor SageLayer::Forward(const CsrView& csr, std::int64_t num_dst, Tensor input,
                           std::unique_ptr<LayerContext>* saved) {
   APT_CHECK_EQ(input.cols(), in_dim_);
   APT_CHECK_GE(input.rows(), num_dst);
   auto ctx = std::make_unique<SageContext>();
-  ctx->agg = Tensor(num_dst, in_dim_);
+  ctx->agg = Tensor::Uninitialized(num_dst, in_dim_);
   SpmmMean(csr, input, ctx->agg);
 
-  Tensor out(num_dst, out_dim_);
+  Tensor out = Tensor::Uninitialized(num_dst, out_dim_);
   // Self term: only the dst prefix of the input participates.
   Matmul(RowPrefix(input, num_dst), w_self_.value, out);
   Matmul(ctx->agg, w_neigh_.value, out, 1.0f, 1.0f);
   AddBiasRows(out, bias_.value);
 
   if (saved != nullptr) {
-    ctx->input = input;
+    ctx->input = std::move(input);
     *saved = std::move(ctx);
   }
   return out;
@@ -68,7 +68,7 @@ Tensor SageLayer::Backward(const CsrView& csr, std::int64_t num_dst,
   // Input grads.
   Tensor grad_input(num_src, in_dim_);
   // Through the neighbor path: grad_agg = grad_out W_neigh^T, then SpMM^T.
-  Tensor grad_agg(num_dst, in_dim_);
+  Tensor grad_agg = Tensor::Uninitialized(num_dst, in_dim_);
   MatmulNT(grad_out, w_neigh_.value, grad_agg);
   SpmmMeanBackward(csr, grad_agg, grad_input);
   // Through the self path: accumulates onto the dst prefix rows (beta = 1).

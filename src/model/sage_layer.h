@@ -19,7 +19,7 @@ class SageLayer final : public GnnLayer {
  public:
   SageLayer(std::int64_t in_dim, std::int64_t out_dim, Rng& rng);
 
-  Tensor Forward(const CsrView& csr, std::int64_t num_dst, const Tensor& input,
+  Tensor Forward(const CsrView& csr, std::int64_t num_dst, Tensor input,
                  std::unique_ptr<LayerContext>* saved) override;
   Tensor Backward(const CsrView& csr, std::int64_t num_dst, const LayerContext& saved,
                   const Tensor& grad_out, InputGrad input_grad) override;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <iomanip>
 #include <sstream>
+#include <string_view>
 
 namespace apt::obs {
 
@@ -909,16 +910,23 @@ GateReport RunGate(const JsonValue& baseline, const JsonValue& current,
       f.current = metric_it->second;
       f.wall = metric == "time_ns";
       f.rel = (f.current - f.base) / std::max(std::abs(f.base), 1e-12);
-      // Simulated byte counts (sim_wire_bytes, sim_compressed_bytes, ...)
-      // are exact integers — any growth is a real behaviour change, so they
-      // gate at a near-zero threshold instead of the timing tolerance.
-      const bool byte_count = metric.size() > 6 &&
-                              metric.compare(metric.size() - 6, 6, "_bytes") == 0;
-      const double tolerance =
-          f.wall ? options.wall_tolerance
-                 : (byte_count ? std::min(options.sim_tolerance, 1e-6)
-                               : options.sim_tolerance);
-      f.regression = f.rel > tolerance && (!f.wall || options.gate_wall);
+      // Simulated counts (sim_traffic_bytes, sim_sampled_edges,
+      // sim_sampled_src_nodes, ...) are exact integers: any change, up OR
+      // down, is a behaviour change (a sampler that lost edges is not an
+      // improvement), so they gate two-sided at a near-zero threshold.
+      // Timings gate one-sided: only a slowdown past tolerance fails.
+      const auto ends_with = [&](std::string_view suffix) {
+        return metric.size() > suffix.size() &&
+               metric.compare(metric.size() - suffix.size(), suffix.size(), suffix) == 0;
+      };
+      const bool exact_count =
+          !f.wall && (ends_with("_bytes") || ends_with("_edges") || ends_with("_nodes"));
+      if (exact_count) {
+        f.regression = std::abs(f.rel) > std::min(options.sim_tolerance, 1e-6);
+      } else {
+        const double tolerance = f.wall ? options.wall_tolerance : options.sim_tolerance;
+        f.regression = f.rel > tolerance && (!f.wall || options.gate_wall);
+      }
       ++report.compared;
       if (f.regression) ++report.regressions;
       report.findings.push_back(std::move(f));

@@ -227,7 +227,9 @@ DiffReport DiffAnalyses(const TraceAnalysis& a, const TraceAnalysis& b,
 // every shared numeric metric is checked for regression. Simulated-seconds
 // metrics are deterministic, so they gate tightly and portably; wall-clock
 // metrics ("time_ns") are machine-dependent and get their own (looser)
-// tolerance. Improvements always pass.
+// tolerance. Timing improvements always pass. Exact simulated counts (names
+// ending _bytes, _edges or _nodes) gate in both directions at 1e-6: a count
+// that drops is a behaviour change, not a speed-up.
 
 struct GateOptions {
   double sim_tolerance = 0.25;   ///< max allowed relative regression, sim metrics

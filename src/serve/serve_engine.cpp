@@ -200,14 +200,15 @@ double ServeEngine::ExecuteBatch(DeviceId dev, const PlannedBatch& batch,
 
   const std::span<const NodeId> input_nodes = merged.batch.input_nodes();
   const std::int64_t dim = store_->feature_dim();
-  Tensor feats(static_cast<std::int64_t>(input_nodes.size()), dim);
+  Tensor feats = Tensor::Uninitialized(static_cast<std::int64_t>(input_nodes.size()), dim);
   store_->Gather(dev, input_nodes, 0, dim, feats);  // charges Phase::kLoad
 
   GnnModel& model = *models_[static_cast<std::size_t>(dev)];
   sim_->AdvanceLabeled(dev,
                        sim_->ComputeSeconds(dev, model.ForwardFlops(merged.batch.blocks)),
                        Phase::kTrain, "serve.forward", {{"rows", rows_arg}});
-  const Tensor logits = model.ForwardFrom(0, merged.batch.blocks, feats, nullptr);
+  const Tensor logits =
+      model.ForwardFrom(0, merged.batch.blocks, std::move(feats), nullptr);
 
   // Virtual timing: the device clock is a BUSY-time accumulator (it never
   // idles between batches), so wall completion = when the batch could start
@@ -461,10 +462,11 @@ ServeReport ServeEngine::Run(std::span<const Request> arrivals) {
 Tensor ServeEngine::ServeSolo(const Request& request, DeviceId worker) {
   const SampledBatch part = SampleRequest(request);
   const std::int64_t dim = store_->feature_dim();
-  Tensor feats(static_cast<std::int64_t>(part.input_nodes().size()), dim);
+  Tensor feats =
+      Tensor::Uninitialized(static_cast<std::int64_t>(part.input_nodes().size()), dim);
   store_->Gather(worker, part.input_nodes(), 0, dim, feats);
   GnnModel& model = *models_[static_cast<std::size_t>(worker)];
-  return model.ForwardFrom(0, part.blocks, feats, nullptr);
+  return model.ForwardFrom(0, part.blocks, std::move(feats), nullptr);
 }
 
 }  // namespace apt::serve

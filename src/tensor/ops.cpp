@@ -248,6 +248,12 @@ MatrixRef RowPrefix(Tensor& t, std::int64_t rows) {
   return {t.data(), rows, t.cols()};
 }
 
+ConstMatrixRef RowRange(const Tensor& t, std::int64_t lo, std::int64_t rows) {
+  APT_CHECK(lo >= 0 && rows >= 0 && lo + rows <= t.rows())
+      << "rows [" << lo << ", " << lo + rows << ") of " << t.rows();
+  return {t.data() + lo * t.cols(), rows, t.cols()};
+}
+
 void Matmul(ConstMatrixRef a, ConstMatrixRef b, MatrixRef c, float alpha, float beta) {
   const std::int64_t m = a.rows, k = a.cols, n = b.cols;
   APT_CHECK_EQ(b.rows, k);

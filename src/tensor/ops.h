@@ -16,33 +16,17 @@ namespace apt {
 // ---------------------------------------------------------------------------
 // GEMM. C = alpha * op(A) * op(B) + beta * C. Shapes are checked.
 //
-// Operands are row-major matrix views. A Tensor converts to one implicitly;
-// RowPrefix views only a tensor's leading rows (a Block's dst prefix) so a
-// layer can read or update them in place instead of copying them out.
+// Operands are row-major matrix views (tensor.h). A Tensor converts to one
+// implicitly; RowPrefix views only a tensor's leading rows (a Block's dst
+// prefix) and RowRange any contiguous run of rows, so a caller can read or
+// update them in place instead of copying them out.
 // ---------------------------------------------------------------------------
-
-/// Read-only row-major matrix view (implicit from a Tensor).
-struct ConstMatrixRef {
-  ConstMatrixRef(const Tensor& t) : data(t.data()), rows(t.rows()), cols(t.cols()) {}
-  ConstMatrixRef(const float* d, std::int64_t r, std::int64_t c)
-      : data(d), rows(r), cols(c) {}
-  const float* data;
-  std::int64_t rows;
-  std::int64_t cols;
-};
-
-/// Writable row-major matrix view (implicit from a Tensor).
-struct MatrixRef {
-  MatrixRef(Tensor& t) : data(t.data()), rows(t.rows()), cols(t.cols()) {}
-  MatrixRef(float* d, std::int64_t r, std::int64_t c) : data(d), rows(r), cols(c) {}
-  float* data;
-  std::int64_t rows;
-  std::int64_t cols;
-};
 
 /// The first `rows` rows of t (checked: 0 <= rows <= t.rows()).
 ConstMatrixRef RowPrefix(const Tensor& t, std::int64_t rows);
 MatrixRef RowPrefix(Tensor& t, std::int64_t rows);
+/// Rows [lo, lo + rows) of t (checked against t.rows()).
+ConstMatrixRef RowRange(const Tensor& t, std::int64_t lo, std::int64_t rows);
 
 /// C[m,n] += A[m,k] * B[k,n]  (beta=0 overwrites).
 void Matmul(ConstMatrixRef a, ConstMatrixRef b, MatrixRef c, float alpha = 1.0f,
@@ -69,9 +53,9 @@ void AddBiasRows(Tensor& x, const Tensor& bias);
 /// grad_bias (1 x cols) = column sums of grad.
 void BiasGradRows(const Tensor& grad, Tensor& grad_bias);
 
-/// ReLU forward (in place allowed via out == &x semantics using copies).
+/// ReLU forward; out may be x (in place).
 void Relu(const Tensor& x, Tensor& out);
-/// grad_x = grad_y * 1[x > 0].
+/// grad_x = grad_y * 1[x > 0]; grad_x may be grad_y (in place).
 void ReluBackward(const Tensor& x, const Tensor& grad_y, Tensor& grad_x);
 
 /// LeakyReLU with slope (GAT uses 0.2).

@@ -10,11 +10,17 @@ namespace apt {
 
 namespace {
 
-void CheckCsr(const CsrView& csr, const Tensor& src, const Tensor& out) {
+void CheckCsr(const CsrView& csr, ConstMatrixRef src, const Tensor& out) {
   APT_CHECK_GE(csr.num_dst(), 0);
   APT_CHECK_EQ(out.rows(), csr.num_dst());
-  APT_CHECK_EQ(out.cols(), src.cols());
+  APT_CHECK_EQ(out.cols(), src.cols);
   APT_CHECK_EQ(csr.indptr[static_cast<std::size_t>(csr.num_dst())], csr.num_edges());
+}
+
+// Row s of a source view, bounds-checked like Tensor::row.
+const float* SrcRow(ConstMatrixRef src, std::int64_t s) {
+  APT_CHECK(s >= 0 && s < src.rows) << "row " << s << " of " << src.rows;
+  return src.data + s * src.cols;
 }
 
 // Dynamic-chunk grain for source-major gathers: roughly 4k floats of row
@@ -124,16 +130,16 @@ void SpmmSumBackward(const CsrView& csr, const Tensor& grad_out, Tensor& grad_sr
   }
 }
 
-void SpmmMean(const CsrView& csr, const Tensor& src, Tensor& out) {
+void SpmmMean(const CsrView& csr, ConstMatrixRef src, Tensor& out) {
   CheckCsr(csr, src, out);
-  const std::int64_t dim = src.cols();
+  const std::int64_t dim = src.cols;
   ParallelFor(0, csr.num_dst(), [&](std::int64_t d) {
     float* orow = out.data() + d * dim;
     std::fill(orow, orow + dim, 0.0f);
     const std::int64_t deg = csr.indptr[d + 1] - csr.indptr[d];
     if (deg == 0) return;
     for (std::int64_t e = csr.indptr[d]; e < csr.indptr[d + 1]; ++e) {
-      const float* srow = src.row(csr.col[static_cast<std::size_t>(e)]);
+      const float* srow = SrcRow(src, csr.col[static_cast<std::size_t>(e)]);
       for (std::int64_t j = 0; j < dim; ++j) orow[j] += srow[j];
     }
     const float inv = 1.0f / static_cast<float>(deg);

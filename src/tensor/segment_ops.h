@@ -68,13 +68,16 @@ struct CsrView {
 // SpMM with sum / mean reduction.
 // ---------------------------------------------------------------------------
 
-/// out.row(d) = sum_{e in d} src.row(col[e]); out must be num_dst x d.
+/// out.row(d) = sum_{e in d} src.row(col[e]); out must be num_dst x d. Every
+/// element of out is written, so it may be Tensor::Uninitialized.
 void SpmmSum(const CsrView& csr, const Tensor& src, Tensor& out);
 /// grad_src.row(col[e]) += grad_out.row(d) for each edge (accumulates).
 void SpmmSumBackward(const CsrView& csr, const Tensor& grad_out, Tensor& grad_src);
 
-/// out.row(d) = mean over d's edges (empty rows produce zeros).
-void SpmmMean(const CsrView& csr, const Tensor& src, Tensor& out);
+/// out.row(d) = mean over d's edges (empty rows produce zeros). Writes every
+/// element of out, like SpmmSum; src may be a row range of a larger tensor
+/// (RowRange).
+void SpmmMean(const CsrView& csr, ConstMatrixRef src, Tensor& out);
 /// grad_src.row(col[e]) += grad_out.row(d) / deg(d) (accumulates).
 void SpmmMeanBackward(const CsrView& csr, const Tensor& grad_out, Tensor& grad_src);
 

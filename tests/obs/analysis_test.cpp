@@ -418,6 +418,40 @@ TEST(GateTest, ImprovementsAlwaysPass) {
   EXPECT_TRUE(obs::RunGate(base, faster, obs::GateOptions{}).Pass());
 }
 
+TEST(GateTest, ExactCountDropFails) {
+  const JsonValue base = ParseRecordsOrDie(R"({
+    "schema_version": 1,
+    "meta": {"kind": "bench_records"},
+    "records": [
+      {"op": "sample", "shape": "batch128", "time_ns": 1000.0,
+       "sim_sampled_edges": 4000.0, "sim_sampled_src_nodes": 900.0,
+       "sim_traffic_bytes": 65536.0, "sim_seconds": 0.5}
+    ]
+  })");
+  EXPECT_TRUE(obs::RunGate(base, base, obs::GateOptions{}).Pass());
+
+  // A count that drops is a behaviour change, whatever its suffix.
+  for (const char* metric :
+       {"sim_sampled_edges", "sim_sampled_src_nodes", "sim_traffic_bytes"}) {
+    JsonValue fewer = base;
+    fewer.obj["records"].arr[0].obj[metric].num -= 1.0;
+    const obs::GateReport report = obs::RunGate(base, fewer, obs::GateOptions{});
+    EXPECT_FALSE(report.Pass()) << metric;
+    EXPECT_EQ(report.regressions, 1) << metric;
+    ASSERT_FALSE(report.findings.empty());
+    EXPECT_EQ(report.findings[0].metric, metric);
+    EXPECT_LT(report.findings[0].rel, 0.0);
+    std::ostringstream os;
+    report.WriteMarkdown(os);
+    EXPECT_NE(os.str().find("**REGRESSION**"), std::string::npos) << metric;
+  }
+
+  // A simulated time that drops stays an improvement.
+  JsonValue faster = base;
+  faster.obj["records"].arr[0].obj["sim_seconds"].num = 0.25;
+  EXPECT_TRUE(obs::RunGate(base, faster, obs::GateOptions{}).Pass());
+}
+
 TEST(GateTest, WallClockMetricsUseTheirOwnTolerance) {
   const JsonValue base = ParseRecordsOrDie(kBaselineRecords);
   JsonValue wall_slow = base;

@@ -49,6 +49,76 @@ TEST(TensorTest, ConstructFromData) {
   EXPECT_THROW(Tensor(2, 2, {1, 2, 3}), Error);
 }
 
+TEST(TensorTest, UninitializedHasShape) {
+  Tensor t = Tensor::Uninitialized(3, 5);
+  EXPECT_EQ(t.rows(), 3);
+  EXPECT_EQ(t.cols(), 5);
+  EXPECT_EQ(t.numel(), 15);
+  EXPECT_EQ(t.bytes(), 60);
+  ASSERT_NE(t.data(), nullptr);
+  t.Fill(1.5f);  // every element is writable
+  EXPECT_EQ(t(2, 4), 1.5f);
+  EXPECT_TRUE(Tensor::Uninitialized(0, 7).empty());
+  EXPECT_EQ(Tensor::Uninitialized(0, 7).cols(), 7);
+}
+
+TEST(TensorTest, UninitializedRejectsNegativeDims) {
+  EXPECT_THROW(Tensor::Uninitialized(-1, 4), Error);
+  EXPECT_THROW(Tensor::Uninitialized(4, -1), Error);
+  EXPECT_THROW(Tensor(-1, 4), Error);
+}
+
+TEST(TensorTest, UninitializedMoveKeepsBufferAndEmptiesSource) {
+  Tensor src = Tensor::Uninitialized(4, 6);
+  src.Fill(2.0f);
+  const float* buf = src.data();
+
+  Tensor moved(std::move(src));
+  EXPECT_EQ(moved.data(), buf);
+  EXPECT_EQ(moved.rows(), 4);
+  EXPECT_EQ(moved.cols(), 6);
+  EXPECT_EQ(moved(3, 5), 2.0f);
+  EXPECT_TRUE(src.empty());  // NOLINT(bugprone-use-after-move): the contract
+  EXPECT_EQ(src.rows(), 0);
+  EXPECT_EQ(src.cols(), 0);
+
+  Tensor assigned(1, 1);
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.data(), buf);
+  EXPECT_EQ(assigned.rows(), 4);
+  EXPECT_TRUE(moved.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(moved.rows(), 0);
+
+  // Copies stay deep.
+  const Tensor copy = assigned;
+  EXPECT_NE(copy.data(), assigned.data());
+  EXPECT_EQ(std::memcmp(copy.data(), assigned.data(),
+                        static_cast<std::size_t>(copy.bytes())),
+            0);
+}
+
+TEST(TensorTest, RowRangeViewsRowsInPlace) {
+  const Tensor t = RandTensor(5, 3, 77);
+  const ConstMatrixRef v = RowRange(t, 1, 3);
+  EXPECT_EQ(v.data, t.row(1));
+  EXPECT_EQ(v.rows, 3);
+  EXPECT_EQ(v.cols, 3);
+  EXPECT_EQ(RowRange(t, 5, 0).rows, 0);
+  EXPECT_THROW(RowRange(t, 3, 3), Error);
+  EXPECT_THROW(RowRange(t, -1, 2), Error);
+
+  // A kernel reading the view matches one reading a copy of the rows.
+  Tensor copy(3, 3);
+  std::copy_n(t.row(1), 9, copy.data());
+  const Tensor w = RandTensor(3, 2, 78);
+  Tensor from_view(3, 2), from_copy(3, 2);
+  Matmul(v, w, from_view);
+  Matmul(copy, w, from_copy);
+  EXPECT_EQ(std::memcmp(from_view.data(), from_copy.data(),
+                        static_cast<std::size_t>(from_view.bytes())),
+            0);
+}
+
 TEST(MatmulTest, KnownProduct) {
   Tensor a(2, 3, {1, 2, 3, 4, 5, 6});
   Tensor b(3, 2, {7, 8, 9, 10, 11, 12});
