@@ -9,6 +9,7 @@
 // names carry the lane count as the last /N.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -183,6 +184,32 @@ void BM_MatmulTrainNT(benchmark::State& state) {
 }
 BENCHMARK(BM_MatmulTrainNT)->Args({4096, 1})->Args({4096, 0});
 
+void BM_MatmulTNCold(benchmark::State& state) {
+  // SNP's layer-0 weight gradient, MatmulTN(aggd, grad, w.grad): C is
+  // 512 x 32 and A ([k, 512]) is cold, so the calls rotate over distinct
+  // operand sets (~64 MB in all, at most 64 sets). One lane: the kernel's own
+  // speed. Arg: k.
+  const std::int64_t k = state.range(0), m = 512, n = 32;
+  const std::int64_t set_bytes = (k * m + k * n + m * n) * 4;
+  const std::int64_t sets = std::clamp<std::int64_t>((64 << 20) / set_bytes, 2, 64);
+  std::vector<Tensor> as, bs, cs;
+  for (std::int64_t s = 0; s < sets; ++s) {
+    as.push_back(RandTensor(k, m, 31 + 3 * s));
+    bs.push_back(RandTensor(k, n, 32 + 3 * s));
+    cs.push_back(Tensor(m, n));
+  }
+  ScopedParallelismLimit limit(1);
+  std::int64_t s = 0;
+  for (auto _ : state) {
+    MatmulTN(as[s], bs[s], cs[s]);
+    benchmark::DoNotOptimize(cs[s].data());
+    s = (s + 1) % sets;
+  }
+  SetRate(state, "flops_per_s", 2.0 * static_cast<double>(k) * m * n);
+  SetThreadsCounter(state, 1);
+}
+BENCHMARK(BM_MatmulTNCold)->Arg(64)->Arg(256)->Arg(700);
+
 struct SpmmFixture {
   std::vector<std::int64_t> indptr;
   std::vector<std::int64_t> col;
@@ -204,19 +231,25 @@ struct SpmmFixture {
   CsrView csr() const { return {indptr, col}; }
 };
 
-void BM_SpmmMean(benchmark::State& state) {
-  SpmmFixture f(state.range(0), 10, 64);
-  Tensor out(state.range(0), 64);
+void RunSpmmMean(benchmark::State& state, std::int64_t num_dst, std::int64_t dim) {
+  SpmmFixture f(num_dst, 10, dim);
+  Tensor out(num_dst, dim);
   for (auto _ : state) {
     SpmmMean(f.csr(), f.src, out);
     benchmark::DoNotOptimize(out.data());
   }
-  state.SetItemsProcessed(state.iterations() * f.csr().num_edges() * 64);
+  state.SetItemsProcessed(state.iterations() * f.csr().num_edges() * dim);
   SetRate(state, "bytes_per_s",
-          static_cast<double>(f.csr().num_edges()) * 64 * 2 * sizeof(float));
+          static_cast<double>(f.csr().num_edges()) * dim * 2 * sizeof(float));
   SetThreadsCounter(state, EffectiveLanes(0));
 }
+
+void BM_SpmmMean(benchmark::State& state) { RunSpmmMean(state, state.range(0), 64); }
 BENCHMARK(BM_SpmmMean)->Arg(1024)->Arg(8192);
+
+// The hidden (128) and SNP input (512) widths, 1024 destinations. Arg: dim.
+void BM_SpmmMeanDim(benchmark::State& state) { RunSpmmMean(state, 1024, state.range(0)); }
+BENCHMARK(BM_SpmmMeanDim)->Arg(128)->Arg(512);
 
 void BM_SpmmMeanBackward(benchmark::State& state) {
   // Gradient scatter through a Block, so the cached transpose path runs —

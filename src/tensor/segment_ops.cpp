@@ -5,6 +5,7 @@
 
 #include "core/error.h"
 #include "runtime/parallel_for.h"
+#include "tensor/kernel_variants.h"
 
 namespace apt {
 
@@ -17,10 +18,163 @@ void CheckCsr(const CsrView& csr, ConstMatrixRef src, const Tensor& out) {
   APT_CHECK_EQ(csr.indptr[static_cast<std::size_t>(csr.num_dst())], csr.num_edges());
 }
 
-// Row s of a source view, bounds-checked like Tensor::row.
-const float* SrcRow(ConstMatrixRef src, std::int64_t s) {
-  APT_CHECK(s >= 0 && s < src.rows) << "row " << s << " of " << src.rows;
-  return src.data + s * src.cols;
+// ---------------------------------------------------------------------------
+// SpMM row kernels, one variant per ISA (kernel_variants.h), selected once
+// per process like the GEMM variants. A row's columns run in blocks whose
+// accumulators stay in registers across all of the row's edges and are
+// stored once: kRegs-register blocks, then one block of the registers left,
+// then one block of the floats left. Per element the order is the scalar
+// loop's: start from 0 (forward) or the existing grad_src value (backward),
+// add the edge rows in edge order, then scale by 1/deg (mean forward). The
+// file builds with -ffp-contract=off, so `acc += inv * g` stays a rounded
+// product and a rounded sum on every ISA.
+// ---------------------------------------------------------------------------
+
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wpsabi"  // every vector user is inlined
+using kernel_detail::LoadVec;
+using kernel_detail::StoreVec;
+using kernel_detail::Vec16;
+using kernel_detail::Vec4;
+using kernel_detail::Vec8;
+
+[[noreturn, gnu::noinline, gnu::cold]] void BadSrcRow(std::int64_t s,
+                                                      std::int64_t rows) {
+  APT_CHECK(false) << "row " << s << " of " << rows;
+  __builtin_unreachable();
+}
+
+// Row s of a [rows, cols] source, bounds-checked like Tensor::row.
+inline const float* SrcRow(const float* src, std::int64_t rows,
+                           std::int64_t cols, std::int64_t s) {
+  if (s < 0 || s >= rows) BadSrcRow(s, rows);
+  return src + s * cols;
+}
+
+// Calls block.template operator()<V, n>(j) for a block of n registers
+// starting at column j, with n = `regs` (1..kRegs).
+template <typename V, int kRegs, typename Block>
+inline void RegisterBlock(std::int64_t regs, std::int64_t j, const Block& block) {
+  if constexpr (kRegs > 1) {
+    if (regs < kRegs) {
+      RegisterBlock<V, kRegs - 1>(regs, j, block);
+      return;
+    }
+  }
+  block.template operator()<V, kRegs>(j);
+}
+
+// Splits columns [0, dim) into register blocks (see above).
+template <typename V, int kRegs, typename Block>
+inline void ForRowBlocks(std::int64_t dim, const Block& block) {
+  constexpr std::int64_t kW = sizeof(V) / sizeof(float);
+  std::int64_t j = 0;
+  for (; j + kRegs * kW <= dim; j += kRegs * kW) {
+    block.template operator()<V, kRegs>(j);
+  }
+  if (const std::int64_t regs = (dim - j) / kW; regs > 0) {
+    RegisterBlock<V, kRegs - 1>(regs, j, block);
+    j += regs * kW;
+  }
+  if (j < dim) RegisterBlock<float, kW - 1>(dim - j, j, block);
+}
+
+template <typename V, int kRegs>
+inline void SpmmForwardRows(const CsrView& csr, const float* src,
+                            std::int64_t src_rows, std::int64_t dim, float* out,
+                            std::int64_t lo, std::int64_t hi, bool mean) {
+  for (std::int64_t d = lo; d < hi; ++d) {
+    const std::int64_t e0 = csr.indptr[d], e1 = csr.indptr[d + 1];
+    const bool scale = mean && e1 > e0;
+    const float inv = scale ? 1.0f / static_cast<float>(e1 - e0) : 1.0f;
+    float* orow = out + d * dim;
+    ForRowBlocks<V, kRegs>(dim, [&]<typename BV, int kN>(std::int64_t j) {
+      constexpr std::int64_t kBW = sizeof(BV) / sizeof(float);
+      BV acc[kN] = {};
+      for (std::int64_t e = e0; e < e1; ++e) {
+        const float* srow =
+            SrcRow(src, src_rows, dim, csr.col[static_cast<std::size_t>(e)]) + j;
+#pragma GCC unroll 16
+        for (int r = 0; r < kN; ++r) acc[r] += LoadVec<BV>(srow + r * kBW);
+      }
+#pragma GCC unroll 16
+      for (int r = 0; r < kN; ++r) {
+        if (scale) acc[r] *= inv;
+        StoreVec(orow + j + r * kBW, acc[r]);
+      }
+    });
+  }
+}
+
+template <typename V, int kRegs, bool kMean>
+inline void SpmmBackwardRows(const CsrTranspose& t, const float* g,
+                             const float* inv_deg, std::int64_t dim,
+                             float* grad_src, std::int64_t lo, std::int64_t hi) {
+  for (std::int64_t s = lo; s < hi; ++s) {
+    const std::int64_t e0 = t.indptr[static_cast<std::size_t>(s)];
+    const std::int64_t e1 = t.indptr[static_cast<std::size_t>(s) + 1];
+    float* srow = grad_src + s * dim;
+    ForRowBlocks<V, kRegs>(dim, [&]<typename BV, int kN>(std::int64_t j) {
+      constexpr std::int64_t kBW = sizeof(BV) / sizeof(float);
+      BV acc[kN];
+#pragma GCC unroll 16
+      for (int r = 0; r < kN; ++r) acc[r] = LoadVec<BV>(srow + j + r * kBW);
+      for (std::int64_t e = e0; e < e1; ++e) {
+        const std::int64_t d = t.dst[static_cast<std::size_t>(e)];
+        const float* grow = g + d * dim + j;
+        if constexpr (kMean) {
+          const float inv = inv_deg[d];
+#pragma GCC unroll 16
+          for (int r = 0; r < kN; ++r) acc[r] += inv * LoadVec<BV>(grow + r * kBW);
+        } else {
+#pragma GCC unroll 16
+          for (int r = 0; r < kN; ++r) acc[r] += LoadVec<BV>(grow + r * kBW);
+        }
+      }
+#pragma GCC unroll 16
+      for (int r = 0; r < kN; ++r) StoreVec(srow + j + r * kBW, acc[r]);
+    });
+  }
+}
+
+#pragma GCC diagnostic pop
+
+// The entry points of one variant (kernel_detail::SpmmKernels), compiled for
+// the ISA in `attrs`, with 64-float blocks (32 on baseline SSE, whose 16
+// registers cannot hold 64 floats and a load).
+#define APT_SPMM_VARIANT(Suffix, attrs, V, kRegs)                              \
+  attrs void SpmmForward##Suffix(const CsrView& csr, const float* src,        \
+                                 std::int64_t src_rows, std::int64_t dim,      \
+                                 float* out, std::int64_t lo, std::int64_t hi, \
+                                 bool mean) {                                  \
+    SpmmForwardRows<V, kRegs>(csr, src, src_rows, dim, out, lo, hi, mean);     \
+  }                                                                            \
+  attrs void SpmmBackward##Suffix(const CsrTranspose& t, const float* g,      \
+                                  const float* inv_deg, std::int64_t dim,      \
+                                  float* grad_src, std::int64_t lo,            \
+                                  std::int64_t hi) {                           \
+    if (inv_deg != nullptr) {                                                  \
+      SpmmBackwardRows<V, kRegs, true>(t, g, inv_deg, dim, grad_src, lo, hi);  \
+    } else {                                                                   \
+      SpmmBackwardRows<V, kRegs, false>(t, g, inv_deg, dim, grad_src, lo, hi); \
+    }                                                                          \
+  }                                                                            \
+  constexpr kernel_detail::SpmmKernels kSpmm##Suffix {                         \
+    &SpmmForward##Suffix, &SpmmBackward##Suffix                                \
+  }
+
+APT_SPMM_VARIANT(Baseline, __attribute__((flatten)), Vec4, 8);
+#if APT_X86_VARIANTS
+APT_SPMM_VARIANT(Avx2, __attribute__((target("avx2"), flatten)), Vec8, 8);
+APT_SPMM_VARIANT(Avx512, __attribute__((target("arch=x86-64-v4"), flatten)),
+                 Vec16, 4);
+#endif
+#undef APT_SPMM_VARIANT
+
+const kernel_detail::SpmmKernels& HostSpmm() {
+  static const kernel_detail::SpmmKernels& kernels =
+      kernel_detail::SpmmKernelsFor(kernel_detail::HostIsa());
+  return kernels;
 }
 
 // Dynamic-chunk grain for source-major gathers: roughly 4k floats of row
@@ -47,6 +201,18 @@ const CsrTranspose* BackwardTranspose(const CsrView& csr, std::int64_t num_src,
 }
 
 }  // namespace
+
+const kernel_detail::SpmmKernels& kernel_detail::SpmmKernelsFor(Isa isa) {
+  APT_CHECK(IsaSupported(isa)) << "SpMM variant " << IsaName(isa)
+                               << " is not supported on this host";
+  switch (isa) {
+#if APT_X86_VARIANTS
+    case Isa::kAvx2: return kSpmmAvx2;
+    case Isa::kAvx512: return kSpmmAvx512;
+#endif
+    default: return kSpmmBaseline;
+  }
+}
 
 CsrTranspose BuildCsrTranspose(const CsrView& csr, std::int64_t num_src) {
   APT_CHECK_GE(num_src, 0);
@@ -88,14 +254,10 @@ const CsrTranspose& CsrTransposeCache::Get(const CsrView& csr,
 
 void SpmmSum(const CsrView& csr, const Tensor& src, Tensor& out) {
   CheckCsr(csr, src, out);
-  const std::int64_t dim = src.cols();
-  ParallelFor(0, csr.num_dst(), [&](std::int64_t d) {
-    float* orow = out.data() + d * dim;
-    std::fill(orow, orow + dim, 0.0f);
-    for (std::int64_t e = csr.indptr[d]; e < csr.indptr[d + 1]; ++e) {
-      const float* srow = src.row(csr.col[static_cast<std::size_t>(e)]);
-      for (std::int64_t j = 0; j < dim; ++j) orow[j] += srow[j];
-    }
+  const auto& kernels = HostSpmm();
+  ParallelForChunks(0, csr.num_dst(), [&](std::int64_t lo, std::int64_t hi) {
+    kernels.forward(csr, src.data(), src.rows(), src.cols(), out.data(), lo, hi,
+                    /*mean=*/false);
   }, 64);
 }
 
@@ -107,16 +269,9 @@ void SpmmSumBackward(const CsrView& csr, const Tensor& grad_out, Tensor& grad_sr
   const CsrTranspose* t = BackwardTranspose(csr, grad_src.rows(), dim, scratch);
   if (t != nullptr) {
     // Source-major parallel gather: each lane owns disjoint source rows.
-    const float* g = grad_out.data();
-    float* out = grad_src.data();
+    const auto& kernels = HostSpmm();
     ParallelForChunksDynamic(0, t->num_src, [&](std::int64_t lo, std::int64_t hi) {
-      for (std::int64_t s = lo; s < hi; ++s) {
-        float* srow = out + s * dim;
-        for (std::int64_t e = t->indptr[s]; e < t->indptr[s + 1]; ++e) {
-          const float* grow = g + t->dst[static_cast<std::size_t>(e)] * dim;
-          for (std::int64_t j = 0; j < dim; ++j) srow[j] += grow[j];
-        }
-      }
+      kernels.backward(*t, grad_out.data(), nullptr, dim, grad_src.data(), lo, hi);
     }, SrcGrain(dim));
     return;
   }
@@ -132,18 +287,10 @@ void SpmmSumBackward(const CsrView& csr, const Tensor& grad_out, Tensor& grad_sr
 
 void SpmmMean(const CsrView& csr, ConstMatrixRef src, Tensor& out) {
   CheckCsr(csr, src, out);
-  const std::int64_t dim = src.cols;
-  ParallelFor(0, csr.num_dst(), [&](std::int64_t d) {
-    float* orow = out.data() + d * dim;
-    std::fill(orow, orow + dim, 0.0f);
-    const std::int64_t deg = csr.indptr[d + 1] - csr.indptr[d];
-    if (deg == 0) return;
-    for (std::int64_t e = csr.indptr[d]; e < csr.indptr[d + 1]; ++e) {
-      const float* srow = SrcRow(src, csr.col[static_cast<std::size_t>(e)]);
-      for (std::int64_t j = 0; j < dim; ++j) orow[j] += srow[j];
-    }
-    const float inv = 1.0f / static_cast<float>(deg);
-    for (std::int64_t j = 0; j < dim; ++j) orow[j] *= inv;
+  const auto& kernels = HostSpmm();
+  ParallelForChunks(0, csr.num_dst(), [&](std::int64_t lo, std::int64_t hi) {
+    kernels.forward(csr, src.data, src.rows, src.cols, out.data(), lo, hi,
+                    /*mean=*/true);
   }, 64);
 }
 
@@ -160,18 +307,10 @@ void SpmmMeanBackward(const CsrView& csr, const Tensor& grad_out, Tensor& grad_s
       inv_deg[static_cast<std::size_t>(d)] =
           deg > 0 ? 1.0f / static_cast<float>(deg) : 0.0f;
     }
-    const float* g = grad_out.data();
-    float* out = grad_src.data();
+    const auto& kernels = HostSpmm();
     ParallelForChunksDynamic(0, t->num_src, [&](std::int64_t lo, std::int64_t hi) {
-      for (std::int64_t s = lo; s < hi; ++s) {
-        float* srow = out + s * dim;
-        for (std::int64_t e = t->indptr[s]; e < t->indptr[s + 1]; ++e) {
-          const std::int64_t d = t->dst[static_cast<std::size_t>(e)];
-          const float inv = inv_deg[static_cast<std::size_t>(d)];
-          const float* grow = g + d * dim;
-          for (std::int64_t j = 0; j < dim; ++j) srow[j] += inv * grow[j];
-        }
-      }
+      kernels.backward(*t, grad_out.data(), inv_deg.data(), dim, grad_src.data(),
+                       lo, hi);
     }, SrcGrain(dim));
     return;
   }

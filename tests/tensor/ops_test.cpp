@@ -2,14 +2,18 @@
 // gradient checks for the loss.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/random.h"
 #include "runtime/parallel_for.h"
 #include "tensor/init.h"
+#include "tensor/kernel_variants.h"
 #include "tensor/ops.h"
 
 namespace apt {
@@ -402,6 +406,109 @@ TEST(MatmulTest, LaneSplitInvariantBitwise) {
   }
 }
 
+// C = alpha * A B + beta * C in the documented per-element order: beta up
+// front, then per 256-wide k-panel acc = 0, acc += a(i,p) * b(p,j) for p
+// ascending, c += alpha * acc. `fused` rounds each multiply-add once, as a
+// variant whose ISA has FMA does. (This file builds with -ffp-contract=off,
+// so the unfused form stays unfused.)
+Tensor OrderedGemm(const Tensor& a, const Tensor& b, const Tensor& c0,
+                   float alpha, float beta, bool fused) {
+  const std::int64_t k = a.cols();
+  Tensor c = c0;
+  for (std::int64_t i = 0; i < c.rows(); ++i) {
+    for (std::int64_t j = 0; j < c.cols(); ++j) {
+      float cv = beta == 0.0f ? 0.0f : beta == 1.0f ? c(i, j) : c(i, j) * beta;
+      for (std::int64_t p0 = 0; p0 < k; p0 += 256) {
+        float acc = 0.0f;
+        for (std::int64_t p = p0; p < std::min(k, p0 + 256); ++p) {
+          acc = fused ? std::fma(a(i, p), b(p, j), acc) : acc + a(i, p) * b(p, j);
+        }
+        cv = fused ? std::fma(alpha, acc, cv) : cv + alpha * acc;
+      }
+      c(i, j) = cv;
+    }
+  }
+  return c;
+}
+
+/// `t` as the leading rows of a taller tensor whose extra rows hold `pad`.
+Tensor Tall(const Tensor& t, float pad) {
+  Tensor out(t.rows() + 3, t.cols());
+  out.Fill(pad);
+  std::copy_n(t.data(), t.numel(), out.data());
+  return out;
+}
+
+TEST(MatmulTest, IsaVariantsMatchReferenceBitwise) {
+  // Every NN / TN variant the host runs (TN read in place and through the
+  // packed panel) equals the documented order bit for bit: every row residue
+  // of the 12 / 6 / 4-row tiles, the 32 / 16 / 8-wide tiles, the one-register
+  // tile and the padded rim, and k around the 256 panel. Operands and C are
+  // row-prefix views of taller tensors (NaN / sentinel rows past the view),
+  // and each call is split into two row ranges that end mid-tile.
+  using kernel_detail::Isa;
+  std::vector<Isa> isas;
+  for (const Isa isa : {Isa::kBaseline, Isa::kAvx2, Isa::kAvx512}) {
+    if (kernel_detail::IsaSupported(isa)) isas.push_back(isa);
+  }
+  ASSERT_EQ(kernel_detail::GemmKernelsFor(kernel_detail::HostIsa()).nn,
+            kernel_detail::GemmKernelsFor(isas.back()).nn)
+      << "the public kernels run the widest supported variant";
+  const std::int64_t ns[] = {1, 15, 16, 17, 31, 32, 33, 48, 128, 130};
+  const std::int64_t ks[] = {1, 255, 256, 257, 600};
+  const float ab[][2] = {{1.0f, 0.0f}, {1.0f, 1.0f}, {0.5f, -1.5f}};
+  constexpr float kSentinel = -7.0f;
+  std::uint64_t seed = 7000;
+  for (std::int64_t m = 1; m <= 24; ++m) {
+    for (const std::int64_t n : ns) {
+      for (const std::int64_t k : ks) {
+        const Tensor a = RandTensor(m, k, seed++);
+        Tensor at(k, m);  // A stored transposed for TN
+        for (std::int64_t i = 0; i < m; ++i) {
+          for (std::int64_t p = 0; p < k; ++p) at(p, i) = a(i, p);
+        }
+        const Tensor b = RandTensor(k, n, seed++);
+        const Tensor c0 = RandTensor(m, n, seed++);
+        const Tensor ta = Tall(a, std::nanf("")), tat = Tall(at, std::nanf(""));
+        const Tensor tb = Tall(b, std::nanf(""));
+        const std::int64_t split = m / 3;
+        for (const auto& co : ab) {
+          const float alpha = co[0], beta = co[1];
+          Tensor ref[2];  // unfused, fused: built on first use
+          bool have[2] = {false, false};
+          for (const Isa isa : isas) {
+            const auto& kern = kernel_detail::GemmKernelsFor(isa);
+            const int f = kern.fused ? 1 : 0;
+            if (!have[f]) {
+              ref[f] = OrderedGemm(a, b, c0, alpha, beta, kern.fused);
+              have[f] = true;
+            }
+            for (int path = 0; path < 3; ++path) {  // NN, TN in place, TN packed
+              Tensor tc = Tall(c0, kSentinel);
+              for (const auto& [lo, hi] : {std::pair{std::int64_t{0}, split},
+                                            std::pair{split, m}}) {
+                if (path == 0) {
+                  kern.nn(ta.data(), tb.data(), n, tc.data(), k, lo, hi, alpha, beta);
+                } else {
+                  kern.tn(tat.data(), m, tb.data(), n, tc.data(), k, lo, hi, alpha,
+                          beta, /*pack=*/path == 2);
+                }
+              }
+              const char* names[] = {"NN", "TN", "TN packed"};
+              ASSERT_TRUE(BitEqual(tc.data(), ref[f].data(), m * n))
+                  << kernel_detail::IsaName(isa) << " " << names[path] << " m=" << m
+                  << " k=" << k << " n=" << n << " alpha=" << alpha << " beta=" << beta;
+              for (std::int64_t i = m * n; i < tc.numel(); ++i) {
+                ASSERT_EQ(tc.data()[i], kSentinel) << "wrote past the row prefix";
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(MatmulTest, RowPrefixChecksBounds) {
   Tensor t(3, 2);
   EXPECT_EQ(RowPrefix(t, 2).rows, 2);
@@ -456,6 +563,27 @@ TEST(ActivationTest, ReluForwardBackward) {
   ReluBackward(x, gy, gx);
   EXPECT_FLOAT_EQ(gx(0, 0), 0);
   EXPECT_FLOAT_EQ(gx(0, 2), 1);
+}
+
+TEST(ActivationTest, ReluBackwardMatchesScalarBitwise) {
+  // x covers NaN, -0, +0, a denormal and both signs, at lengths that leave
+  // vector remainders; grad_x = x > 0 ? grad_y : +0, in place and not.
+  for (const std::int64_t cols : {1, 7, 67, 1000}) {
+    Tensor x = RandTensor(5, cols, 40 + cols);
+    const float specials[] = {std::nanf(""), -0.0f, 0.0f, 1e-40f, -1e-40f};
+    for (std::int64_t i = 0; i < x.numel(); i += 3) x.data()[i] = specials[(i / 3) % 5];
+    const Tensor gy = RandTensor(5, cols, 50 + cols);
+    Tensor want(5, cols);
+    for (std::int64_t i = 0; i < x.numel(); ++i) {
+      want.data()[i] = x.data()[i] > 0.0f ? gy.data()[i] : 0.0f;
+    }
+    Tensor out = RandTensor(5, cols, 60 + cols);
+    ReluBackward(x, gy, out);
+    EXPECT_TRUE(BitEqual(out.data(), want.data(), x.numel())) << "cols=" << cols;
+    Tensor in_place = gy;
+    ReluBackward(x, in_place, in_place);
+    EXPECT_TRUE(BitEqual(in_place.data(), want.data(), x.numel())) << "cols=" << cols;
+  }
 }
 
 TEST(ActivationTest, LeakyReluForwardBackward) {

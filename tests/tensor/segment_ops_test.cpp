@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <random>
+#include <string>
+#include <vector>
 
 #include "core/random.h"
 #include "sampling/block.h"
 #include "tensor/init.h"
+#include "tensor/kernel_variants.h"
 #include "tensor/ops.h"
 #include "tensor/segment_ops.h"
 
@@ -309,6 +313,104 @@ TEST(SpmmBackwardParityTest, SumAndMeanMatchSerialBitExact) {
   SpmmMeanBackward(block.csr(), gy, mvia_cache);
   EXPECT_EQ(MaxAbsDiff(mref, mvia_scratch), 0.0f);
   EXPECT_EQ(MaxAbsDiff(mref, mvia_cache), 0.0f);
+}
+
+bool BitEqual(const Tensor& x, const Tensor& y) {
+  return x.SameShape(y) &&
+         std::memcmp(x.data(), y.data(), static_cast<std::size_t>(x.bytes())) == 0;
+}
+
+TEST(SpmmTest, RegisterBlockedMatchesScalarBitwise) {
+  // Every SpMM variant the host runs equals the scalar loops bit for bit
+  // (0, then the edge rows in edge order, then 1/deg), at dims that cover
+  // full register blocks, narrower register blocks and single floats.
+  // MakeRandomGraph has zero-degree rows and a hot source that repeats
+  // within rows. Backward accumulates into a nonzero grad_src.
+  using kernel_detail::Isa;
+  const RandomGraph g = MakeRandomGraph(/*num_dst=*/90, /*num_src=*/40,
+                                        /*max_deg=*/9, /*seed=*/77);
+  const CsrView csr = g.csr();
+  const std::int64_t nd = csr.num_dst(), ns = g.num_src;
+  const CsrTranspose t = BuildCsrTranspose(csr, ns);
+  std::vector<float> inv_deg(static_cast<std::size_t>(nd));
+  for (std::int64_t d = 0; d < nd; ++d) {
+    const std::int64_t deg = csr.indptr[d + 1] - csr.indptr[d];
+    inv_deg[static_cast<std::size_t>(d)] = deg > 0 ? 1.0f / static_cast<float>(deg) : 0.0f;
+  }
+  for (const std::int64_t dim : {1, 15, 16, 17, 63, 64, 65, 128, 200, 512}) {
+    const Tensor src = RandTensor(ns, dim, 80 + dim);
+    const Tensor gy = RandTensor(nd, dim, 81 + dim);
+    const Tensor gx0 = RandTensor(ns, dim, 82 + dim);
+    Tensor sum_ref(nd, dim), mean_ref(nd, dim);
+    for (std::int64_t d = 0; d < nd; ++d) {
+      const std::int64_t deg = csr.indptr[d + 1] - csr.indptr[d];
+      for (std::int64_t j = 0; j < dim; ++j) {
+        float acc = 0.0f;
+        for (std::int64_t e = csr.indptr[d]; e < csr.indptr[d + 1]; ++e) {
+          acc += src(csr.col[static_cast<std::size_t>(e)], j);
+        }
+        sum_ref(d, j) = acc;
+        mean_ref(d, j) = deg > 0 ? acc * (1.0f / static_cast<float>(deg)) : 0.0f;
+      }
+    }
+    Tensor sum_bwd_ref = gx0, mean_bwd_ref = gx0;
+    RefSumBackward(csr, gy, sum_bwd_ref);
+    RefMeanBackward(csr, gy, mean_bwd_ref);
+
+    for (const Isa isa : {Isa::kBaseline, Isa::kAvx2, Isa::kAvx512}) {
+      if (!kernel_detail::IsaSupported(isa)) continue;
+      const auto& kern = kernel_detail::SpmmKernelsFor(isa);
+      const std::string label =
+          std::string(kernel_detail::IsaName(isa)) + " dim=" + std::to_string(dim);
+      for (const bool mean : {false, true}) {
+        Tensor out = Tensor::Uninitialized(nd, dim);
+        out.Fill(std::nanf(""));
+        // Two row ranges, as two lanes would run them.
+        kern.forward(csr, src.data(), ns, dim, out.data(), 0, nd / 3, mean);
+        kern.forward(csr, src.data(), ns, dim, out.data(), nd / 3, nd, mean);
+        EXPECT_TRUE(BitEqual(out, mean ? mean_ref : sum_ref))
+            << label << (mean ? " mean" : " sum");
+        Tensor gx = gx0;
+        kern.backward(t, gy.data(), mean ? inv_deg.data() : nullptr, dim, gx.data(),
+                      0, ns);
+        EXPECT_TRUE(BitEqual(gx, mean ? mean_bwd_ref : sum_bwd_ref))
+            << label << (mean ? " mean backward" : " sum backward");
+      }
+    }
+    // The public entry points run the host's variant.
+    Tensor out(nd, dim);
+    SpmmSum(csr, src, out);
+    EXPECT_TRUE(BitEqual(out, sum_ref)) << "SpmmSum dim=" << dim;
+    SpmmMean(csr, src, out);
+    EXPECT_TRUE(BitEqual(out, mean_ref)) << "SpmmMean dim=" << dim;
+    const Block block = AsBlock(g);
+    Tensor gx = gx0;
+    SpmmSumBackward(block.csr(), gy, gx);
+    EXPECT_TRUE(BitEqual(gx, sum_bwd_ref)) << "SpmmSumBackward dim=" << dim;
+    gx = gx0;
+    SpmmMeanBackward(block.csr(), gy, gx);
+    EXPECT_TRUE(BitEqual(gx, mean_bwd_ref)) << "SpmmMeanBackward dim=" << dim;
+  }
+}
+
+TEST(SpmmTest, SourceRowOutOfRangeThrows) {
+  // The per-edge source-row check holds in every variant.
+  using kernel_detail::Isa;
+  const std::vector<std::int64_t> indptr{0, 1, 3};
+  const std::vector<std::int64_t> col{0, 1, 4};  // source 4 of 4 rows
+  const CsrView csr{indptr, col};
+  const Tensor src = RandTensor(4, 70, 90);
+  Tensor out(2, 70);
+  for (const Isa isa : {Isa::kBaseline, Isa::kAvx2, Isa::kAvx512}) {
+    if (!kernel_detail::IsaSupported(isa)) continue;
+    const auto& kern = kernel_detail::SpmmKernelsFor(isa);
+    for (const bool mean : {false, true}) {
+      EXPECT_THROW(kern.forward(csr, src.data(), 4, 70, out.data(), 0, 2, mean), Error)
+          << kernel_detail::IsaName(isa);
+    }
+  }
+  EXPECT_THROW(SpmmSum(csr, src, out), Error);
+  EXPECT_THROW(SpmmMean(csr, src, out), Error);
 }
 
 TEST(SpmmBackwardParityTest, TinyGraphTakesSerialPathAndAccumulates) {
